@@ -99,8 +99,7 @@ def test_bench_kb_incremental_add(benchmark, lubm_tiny):
 
     def add_once():
         # Rebuild-free incremental load of one new fact.
-        kb._base.discard(new)
-        kb._closed.discard(new)
+        kb.apply(removes=[new])
         return kb.add([new])
 
     added = benchmark(add_once)

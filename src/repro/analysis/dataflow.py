@@ -187,16 +187,35 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
         module="repro.rdf.idquery",
         cls="IdIndex",
         caches=(
-            # The id-encoded mirror of the term graph: rebuilt inside
-            # ``current`` whenever the graph's version moved past the
-            # ``_key`` the mirror was built at.  No in-class invalidators
-            # — invalidation is the version-key comparison itself.
+            # The id-encoded mirror an index keeps when it starts from a
+            # term graph: rebuilt inside ``current`` whenever the graph's
+            # version moved past the ``_key`` the mirror was built at.
+            # No in-class invalidators — invalidation is the version-key
+            # comparison itself.  (Over an id-native owner ``current``
+            # returns the owner's live store and caches nothing.)
             CacheRule(
                 "_mirror",
                 invalidators=_fs(),
                 readers=_fs("current"),
                 guard="_key",
                 writers=_fs("current"),
+            ),
+        ),
+    ),
+    StoreSpec(
+        module="repro.owl.kb",
+        cls="_TermView",
+        caches=(
+            # MaterializedKB's term views (``graph`` / ``base_graph``):
+            # a decoded Graph snapshot keyed on (store, store version).
+            # No in-class invalidators — a write moves the store's
+            # version, and ``of`` drops the snapshot on key mismatch.
+            CacheRule(
+                "_graph",
+                invalidators=_fs(),
+                readers=_fs("of"),
+                guard="_key",
+                writers=_fs("of"),
             ),
         ),
     ),

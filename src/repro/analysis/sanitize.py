@@ -602,19 +602,40 @@ def check_ledger(det: "CountingTermination") -> None:
 # -- store factory -------------------------------------------------------------
 
 
+def store_kind(store: str | None, memory_budget_bytes: int | None = None) -> str:
+    """Resolve and validate a ``store=`` choice: ``None`` derives it from
+    whether a memory budget was given (a budget implies the run store)."""
+    if store is None:
+        return "run" if memory_budget_bytes is not None else "dense"
+    if store not in ("dense", "run"):
+        raise ValueError(f'store must be "dense" or "run", got {store!r}')
+    return store
+
+
 def make_store(
     store: str | None,
     *,
     capacity: int = 0,
     memory_budget_bytes: int | None = None,
+    sanitize: bool | None = None,
     label: str = "store",
     seed: int = 0,
 ) -> "IdGraph | RunStore":
-    """Sanitized counterpart of the engine's store factory: a
-    :class:`SanitizedRunStore` for ``store == "run"``, else a
-    :class:`SanitizedIdGraph` (both are :class:`IdGraph`-compatible)."""
-    if store == "run":
-        return SanitizedRunStore(
-            memory_budget_bytes=memory_budget_bytes, label=label, seed=seed
-        )
-    return SanitizedIdGraph(capacity=capacity, label=label, seed=seed)
+    """The one id-store factory ("dense or run, sanitized or not") behind
+    :class:`~repro.owl.kb.MaterializedKB`, the ``SemiNaiveEngine`` mirror
+    and the id-native ``PartitionWorker``.
+
+    ``store``/``memory_budget_bytes`` resolve through :func:`store_kind`;
+    ``sanitize`` through :func:`sanitize_enabled` (``None`` defers to
+    ``REPRO_SANITIZE``).  The sanitized subclasses are selected only
+    here, so the unsanitized path carries no overhead."""
+    kind = store_kind(store, memory_budget_bytes)
+    if sanitize_enabled(sanitize):
+        if kind == "run":
+            return SanitizedRunStore(
+                memory_budget_bytes=memory_budget_bytes, label=label, seed=seed
+            )
+        return SanitizedIdGraph(capacity=capacity, label=label, seed=seed)
+    if kind == "run":
+        return RunStore(memory_budget_bytes=memory_budget_bytes)
+    return IdGraph(capacity=capacity)

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.datalog.ast import Rule
 from repro.datalog.plan import AtomSpec, PlanKind, RulePlan, build_plan
-from repro.rdf.idstore import IdGraph, member_mask, pack_columns
+from repro.rdf.idstore import IdGraph, concat_columns, member_mask, pack_columns
 from repro.rdf.runstore import RunStore
 from repro.rdf.terms import Term
 
@@ -306,7 +306,7 @@ class JoinIdKernel:
             hs, hp, ho = _build_head(self._head, full_env, n_c)
             valid = self._dict.resource_mask(hs) & self._dict.uri_mask(hp)
             parts.append((hs[valid], hp[valid], ho[valid]))
-        return _concat(parts)
+        return concat_columns(parts)
 
 
 class GenericIdKernel:
@@ -383,18 +383,6 @@ class GenericIdKernel:
 
 
 IdKernel = ScanIdKernel | JoinIdKernel | GenericIdKernel
-
-
-def _concat(parts: list[Columns]) -> Columns:
-    if not parts:
-        return _EMPTY, _EMPTY, _EMPTY
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
 
 
 def compile_id_kernel(
@@ -531,11 +519,11 @@ class ColumnarEngine:
                     parts.append((hs, hp, ho))
             current = IdGraph()
             if parts:
-                hs, hp, ho = _concat(parts)
+                hs, hp, ho = concat_columns(parts)
                 keep = ~graph.contains_rows(hs, hp, ho)
                 added = current.add_rows(hs[keep], hp[keep], ho[keep])
                 graph.add_rows(*added)
                 stats.derived += len(added[0])
                 if len(added[0]):
                     inferred_parts.append(added)
-        return ColumnarFixpoint(inferred=_concat(inferred_parts), stats=stats)
+        return ColumnarFixpoint(inferred=concat_columns(inferred_parts), stats=stats)

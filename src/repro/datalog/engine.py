@@ -38,13 +38,13 @@ additionally reports per-round dispatch counts (``rules_dispatched`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Literal, Sequence
-
-import numpy as np
 
 from repro.datalog.ast import Atom, Bindings, Rule
 from repro.datalog.compiled import compile_plan
 from repro.datalog.plan import DispatchIndex, PlanKind, build_plan
+from repro.rdf.dictionary import decode_rows, encode_rows
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triple import Triple
@@ -89,21 +89,6 @@ class FixpointResult:
 
     graph: Graph
     inferred: Graph
-    stats: EngineStats = field(default_factory=EngineStats)
-
-
-@dataclass
-class ApplyResult:
-    """Outcome of one incremental maintenance step (DRed).
-
-    ``graph`` references the (mutated) input closure; ``added`` holds the
-    triples newly present, ``removed`` the triples no longer present
-    (retracted rows that neither stayed asserted nor rederived).
-    """
-
-    graph: Graph
-    added: Graph
-    removed: Graph
     stats: EngineStats = field(default_factory=EngineStats)
 
 
@@ -215,9 +200,10 @@ class SemiNaiveEngine:
       kernels of :mod:`repro.datalog.columnar` (identical results *and*
       identical work counters to ``"compiled"``).  The mirror is cached
       across :meth:`run` calls on the same graph object (detected via the
-      graph's mutation counter), so incremental deltas — the
-      :class:`~repro.owl.kb.MaterializedKB` load path — pay only for their
-      own rows.
+      graph's mutation counter), so incremental deltas pay only for
+      their own rows.  (:class:`~repro.owl.kb.MaterializedKB` does not
+      go through this adapter: it owns its id store and drives
+      :class:`~repro.datalog.columnar.ColumnarEngine` directly.)
 
     ``compile_rules=False`` remains as the legacy spelling of
     ``engine="generic"``.
@@ -250,10 +236,10 @@ class SemiNaiveEngine:
             engine = "compiled" if compile_rules else "generic"
         if engine not in ("generic", "compiled", "columnar"):
             raise ValueError(f"unknown engine {engine!r}")
-        if store is None:
-            store = "run" if memory_budget_bytes is not None else "dense"
-        if store not in ("dense", "run"):
-            raise ValueError(f"unknown store {store!r}")
+        # Imported lazily: the repro.analysis package imports repro.datalog.
+        from repro.analysis.sanitize import make_store, store_kind
+
+        store = store_kind(store, memory_budget_bytes)
         if engine != "columnar" and (
             store == "run" or memory_budget_bytes is not None
         ):
@@ -263,12 +249,14 @@ class SemiNaiveEngine:
         #: Columnar mirror storage: ``"dense"`` keeps an
         #: :class:`~repro.rdf.idstore.IdGraph`, ``"run"`` a memory-budgeted
         #: :class:`~repro.rdf.runstore.RunStore`.
-        self.store_kind: StoreKind = store
-        self.memory_budget_bytes = memory_budget_bytes
-        #: Tri-state runtime-sanitizer switch: an explicit True/False wins,
-        #: None defers to the REPRO_SANITIZE environment variable (resolved
-        #: lazily at store construction, so the env var works unplumbed).
-        self.sanitize = sanitize
+        self.store_kind = store
+        #: ``_make_store(capacity=n)``: a fresh mirror store of that kind.
+        #: ``sanitize`` is tri-state — an explicit True/False wins, None
+        #: defers to REPRO_SANITIZE, resolved at store construction (so
+        #: the env var works unplumbed).
+        self._make_store = partial(
+            make_store, store, memory_budget_bytes=memory_budget_bytes,
+            sanitize=sanitize, label="engine-mirror")
         self.engine_kind: EngineKind = engine
         self.compile_rules = engine != "generic"
         for rule in self.rules:
@@ -374,133 +362,7 @@ class SemiNaiveEngine:
 
         return FixpointResult(graph=graph, inferred=inferred, stats=stats)
 
-    def apply(
-        self,
-        graph: Graph,
-        adds: Iterable[Triple] = (),
-        removes: Iterable[Triple] = (),
-        asserted: Graph | None = None,
-    ) -> ApplyResult:
-        """Incrementally maintain a materialized closure under additions
-        and retractions (delete-and-rederive), mutating ``graph`` in
-        place.
-
-        ``graph`` must be a closure previously computed by :meth:`run`
-        with this engine's rules; ``asserted`` is the *post-retraction*
-        base graph (explicit facts only) — retracted facts must already
-        be absent from it, and rows of it that get overdeleted as
-        consequences of a retraction are restored (asserted facts
-        survive unless retracted themselves).  See
-        :mod:`repro.datalog.incremental` for the phase structure.
-        """
-        # Imported lazily: incremental depends on this module's types.
-        from repro.datalog import incremental
-
-        if asserted is None:
-            asserted = Graph()
-        if self._columnar is None:
-            outcome = incremental.dred_term(
-                self, graph, adds, removes, asserted)
-            return ApplyResult(
-                graph=graph, added=outcome.added, removed=outcome.removed,
-                stats=outcome.stats)
-        return self._apply_columnar(graph, adds, removes, asserted)
-
     # -- columnar execution --------------------------------------------------
-
-    def _encode_triples(self, triples: Iterable[Triple]):
-        """Id columns for a batch of triples (minting fresh ids as
-        needed — unknown terms simply never match any stored row)."""
-        assert self._columnar is not None
-        enc = self._columnar.dictionary.encode
-        s_list: list[int] = []
-        p_list: list[int] = []
-        o_list: list[int] = []
-        for t in triples:
-            s_list.append(enc(t.s))
-            p_list.append(enc(t.p))
-            o_list.append(enc(t.o))
-        return (
-            np.asarray(s_list, dtype=np.int64),
-            np.asarray(p_list, dtype=np.int64),
-            np.asarray(o_list, dtype=np.int64),
-        )
-
-    def _apply_columnar(
-        self,
-        graph: Graph,
-        adds: Iterable[Triple],
-        removes: Iterable[Triple],
-        asserted: Graph,
-    ) -> ApplyResult:
-        """The ``engine="columnar"`` apply path: run id-space DRed on the
-        mirror, then replay the net row changes onto the term graph."""
-        from repro.datalog import incremental
-        from repro.rdf.idstore import IdGraph
-
-        assert self._columnar is not None
-        columnar = self._columnar
-        dictionary = columnar.dictionary
-        mirror = self._sync_mirror(graph)
-        add_list = list(adds)
-        adds_rows = self._encode_triples(add_list)
-        removes_rows = self._encode_triples(removes)
-        asserted_rows = IdGraph(capacity=len(asserted))
-        asserted_rows.add_rows(*self._encode_triples(asserted))
-
-        outcome = incremental.dred_id(
-            columnar, mirror, adds_rows, removes_rows, asserted_rows)
-
-        removed = Graph()
-        rs, rp, ro = outcome.removed
-        for s, p, o in zip(
-            dictionary.decode_many(rs),
-            dictionary.decode_many(rp),
-            dictionary.decode_many(ro),
-        ):
-            t = Triple(s, p, o)
-            graph.discard(t)
-            removed.add(t)
-        added = Graph()
-        hs, hp, ho = outcome.added
-        for s, p, o in zip(
-            dictionary.decode_many(hs),
-            dictionary.decode_many(hp),
-            dictionary.decode_many(ho),
-        ):
-            t = Triple(s, p, o)
-            graph.add(t)
-            added.add(t)
-        # The mutations above are our own mirror replay: re-stamp.
-        self._mirror_state = (graph, graph.version)
-        return ApplyResult(
-            graph=graph, added=added, removed=removed, stats=outcome.stats)
-
-    def _make_store(self, capacity: int):
-        """A fresh mirror store of the configured kind.
-
-        With the sanitizer on (``sanitize=True`` or ``REPRO_SANITIZE=1``)
-        the sanitized store subclasses are constructed instead — the
-        selection happens only here, so the unsanitized path carries no
-        overhead.  Imported lazily: repro.analysis must stay importable
-        without dragging the datalog layer in at module import time.
-        """
-        from repro.analysis.sanitize import make_store, sanitize_enabled
-
-        if sanitize_enabled(self.sanitize):
-            return make_store(
-                self.store_kind,
-                capacity=capacity,
-                memory_budget_bytes=self.memory_budget_bytes,
-                label="engine-mirror",
-            )
-        if self.store_kind == "run":
-            from repro.rdf.runstore import RunStore
-
-            return RunStore(memory_budget_bytes=self.memory_budget_bytes)
-        from repro.rdf.idstore import IdGraph
-
-        return IdGraph(capacity=capacity)
 
     def _sync_mirror(self, graph: Graph):
         """The id-encoded shadow of ``graph``, rebuilt only when the graph
@@ -514,21 +376,9 @@ class SemiNaiveEngine:
         ):
             return self._mirror
         assert self._columnar is not None
-        dictionary = self._columnar.dictionary
-        s_list: list[int] = []
-        p_list: list[int] = []
-        o_list: list[int] = []
-        enc = dictionary.encode
-        for s, p, o in graph.spo_items():
-            s_list.append(enc(s))
-            p_list.append(enc(p))
-            o_list.append(enc(o))
-        mirror = self._make_store(capacity=len(s_list))
+        mirror = self._make_store(capacity=len(graph))
         mirror.add_rows(
-            np.asarray(s_list, dtype=np.int64),
-            np.asarray(p_list, dtype=np.int64),
-            np.asarray(o_list, dtype=np.int64),
-        )
+            *encode_rows(self._columnar.dictionary, graph.spo_items()))
         self._mirror = mirror
         self._mirror_state = (graph, graph.version)
         return mirror
@@ -546,30 +396,14 @@ class SemiNaiveEngine:
 
         delta_rows = None
         if delta is not None:
-            enc = dictionary.encode
-            s_list: list[int] = []
-            p_list: list[int] = []
-            o_list: list[int] = []
-            for t in delta:
-                graph.add(t)
-                s_list.append(enc(t.s))
-                p_list.append(enc(t.p))
-                o_list.append(enc(t.o))
-            delta_rows = (
-                np.asarray(s_list, dtype=np.int64),
-                np.asarray(p_list, dtype=np.int64),
-                np.asarray(o_list, dtype=np.int64),
-            )
+            delta = list(delta)
+            graph.update(delta)
+            delta_rows = encode_rows(
+                dictionary, ((t.s, t.p, t.o) for t in delta))
 
         result = columnar.run(mirror, delta_rows)
         inferred = Graph()
-        hs, hp, ho = result.inferred
-        for s, p, o in zip(
-            dictionary.decode_many(hs),
-            dictionary.decode_many(hp),
-            dictionary.decode_many(ho),
-        ):
-            t = Triple(s, p, o)
+        for t in decode_rows(dictionary, *result.inferred):
             graph.add(t)
             inferred.add(t)
         # The adds above are our own: re-stamp the mirror as in sync.

@@ -1,18 +1,17 @@
-"""Delete-and-rederive (DRed) incremental maintenance.
+"""Delete-and-rederive (DRed) incremental maintenance, in id space.
 
 A materialized closure must survive retractions without a full
 re-closure.  This module implements the classic DRed algorithm
 [Gupta, Mumick & Subrahmanian, *Maintaining Views Incrementally*] over
-both execution spaces of the engine stack:
-
-* :func:`dred_id` — the vectorized id-space path, driving the existing
-  :mod:`repro.datalog.columnar` kernels over an
-  :class:`~repro.rdf.idstore.IdGraph` or
-  :class:`~repro.rdf.runstore.RunStore`;
-* :func:`dred_term` — a structurally identical term-space twin for the
-  generic and compiled engines, so ``SemiNaiveEngine.apply`` works for
-  every engine kind and the work counters stay comparable field by
-  field across ``compiled`` / ``columnar``-dense / ``columnar``-run.
+the id stores: :func:`dred_id` drives the :mod:`repro.datalog.columnar`
+kernels over an :class:`~repro.rdf.idstore.IdGraph` or
+:class:`~repro.rdf.runstore.RunStore`.  It is the one maintenance path:
+:meth:`repro.owl.kb.MaterializedKB.apply` calls it on the KB's own store
+with the KB's persistent asserted base, and the id-native
+:class:`~repro.parallel.worker.PartitionWorker` drives its phases
+(:func:`overdelete_id`, :func:`rederive_id`) one removal batch at a time
+for distributed DRed.  ``MaterializedKB.rebuild`` stays the differential
+oracle.
 
 Phases
 ------
@@ -42,37 +41,25 @@ Phases
    restores every remaining derivable row of ``O`` and derives the
    consequences of the additions.
 
-Both twins count work identically: overdeletion rounds and the
-rederivation round tick ``iterations`` / ``rules_dispatched`` /
-``rules_skipped`` / ``join_probes`` / ``firings`` exactly like forward
-rounds, ``derived`` counts rows entering ``O`` (phase 1) and rows
-restored to the store (phase 3), and phase 4 merges a normal
-fixpoint's stats.
+Work accounting: overdeletion rounds and the rederivation round tick
+``iterations`` / ``rules_dispatched`` / ``rules_skipped`` /
+``join_probes`` / ``firings`` exactly like forward rounds, ``derived``
+counts rows entering ``O`` (phase 1) and rows restored to the store
+(phase 3), and phase 4 merges a normal fixpoint's stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.datalog.columnar import ColumnarEngine, Columns, IdStore
-from repro.rdf.graph import Graph
-from repro.rdf.idstore import IdGraph
+from repro.datalog.engine import EngineStats
+from repro.rdf.idstore import IdGraph, concat_columns
 from repro.rdf.terms import Variable
-from repro.rdf.triple import Triple
-
-if TYPE_CHECKING:
-    from repro.datalog.engine import EngineStats, SemiNaiveEngine
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _fresh_stats() -> "EngineStats":
-    from repro.datalog.engine import EngineStats
-
-    return EngineStats()
 
 
 def _copy_cols(cols: Columns) -> Columns:
@@ -91,17 +78,7 @@ class IdDredResult:
     #: The full overdeleted set ``O`` (diagnostic; superset of
     #: ``removed``).
     overdeleted: Columns
-    stats: "EngineStats"
-
-
-@dataclass
-class TermDredResult:
-    """Net effect of one term-space ``apply`` on the (mutated) graph."""
-
-    added: Graph
-    removed: Graph
-    overdeleted: Graph
-    stats: "EngineStats"
+    stats: EngineStats
 
 
 def _check_budget(iterations: int, max_iterations: int | None) -> None:
@@ -110,15 +87,12 @@ def _check_budget(iterations: int, max_iterations: int | None) -> None:
             f"fixpoint not reached after {max_iterations} iterations")
 
 
-# -- id space ------------------------------------------------------------
-
-
 def overdelete_id(
     engine: ColumnarEngine,
     store: IdStore,
     seed: Columns,
     over: IdGraph,
-    stats: "EngineStats",
+    stats: EngineStats,
 ) -> Columns:
     """Phase 1: overdeletion fixpoint against the *unmutated* ``store``.
 
@@ -154,7 +128,7 @@ def overdelete_id(
                 parts.append((hs, hp, ho))
         current = IdGraph()
         if parts:
-            hs, hp, ho = _concat(parts)
+            hs, hp, ho = concat_columns(parts)
             keep = store.contains_rows(hs, hp, ho)
             keep &= ~over.contains_rows(hs, hp, ho)
             newly = current.add_rows(hs[keep], hp[keep], ho[keep])
@@ -169,7 +143,7 @@ def rederive_id(
     store: IdStore,
     over: IdGraph,
     asserted: IdGraph,
-    stats: "EngineStats",
+    stats: EngineStats,
 ) -> IdGraph:
     """Phases 2 + 3: physically delete ``over`` from ``store``, then
     compute the one-step rederivation seed — rows of ``O`` still
@@ -206,7 +180,7 @@ def rederive_id(
             if len(hs):
                 parts.append((hs, hp, ho))
         if parts:
-            hs, hp, ho = _concat(parts)
+            hs, hp, ho = concat_columns(parts)
             hit = over.contains_rows(hs, hp, ho)
             seed.add_rows(hs[hit], hp[hit], ho[hit])
     stats.derived += len(seed)
@@ -226,7 +200,7 @@ def dred_id(
     the id-encoded *post-retraction* base (explicit facts only), used
     to keep asserted-but-also-derivable rows alive.
     """
-    stats = _fresh_stats()
+    stats = EngineStats()
 
     # Phase 1: overdeletion fixpoint against the unmutated closure.
     over = IdGraph()
@@ -276,144 +250,8 @@ def _head_may_rederive_id(
 ) -> bool:
     """Can rule ``rule_index`` produce any overdeleted row?  Ground head
     predicates must occur in ``O``; variable head predicates always
-    might.  The test is on the *rule* (not the encoded kernel) so the
-    term twin computes the identical rule subset."""
+    might."""
     p = engine.kernels[rule_index].rule.head.p
     if isinstance(p, Variable):
         return True
     return engine.dictionary.encode(p) in over_pids
-
-
-def _concat(parts: list[Columns]) -> Columns:
-    if not parts:
-        return _EMPTY, _EMPTY, _EMPTY
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
-
-
-# -- term space ----------------------------------------------------------
-
-
-def dred_term(
-    engine: "SemiNaiveEngine",
-    graph: Graph,
-    adds: Iterable[Triple],
-    removes: Iterable[Triple],
-    asserted: Graph,
-) -> TermDredResult:
-    """The term-space DRed twin: apply ``(adds, removes)`` to a
-    materialized closure held as a :class:`~repro.rdf.graph.Graph`,
-    mutating it in place.
-
-    Structurally identical to :func:`dred_id` — same phases, same
-    dispatch and head-predicate filters, same counter ticks — so that
-    ``compiled`` and ``columnar`` report equal stats for equal inputs.
-    """
-    stats = _fresh_stats()
-    kernels = engine._kernels
-    dispatch = engine._dispatch
-    n_rules = len(kernels)
-
-    # Phase 1: overdeletion fixpoint against the unmutated closure.
-    over = Graph()
-    for t in removes:
-        if t in graph:
-            over.add(t)
-    current = over.copy()
-    while len(current):
-        _check_budget(stats.iterations, engine.max_iterations)
-        stats.iterations += 1
-        if dispatch is not None:
-            live = dispatch.candidates(current.predicates())
-            stats.rules_dispatched += len(live)
-            stats.rules_skipped += n_rules - len(live)
-            active = [kernels[i] for i in live]
-        else:
-            stats.rules_dispatched += n_rules
-            active = list(kernels)
-        next_over = Graph()
-        for kernel in active:
-            for triple in kernel.eval_delta(graph, current, stats):
-                if triple is None:
-                    continue
-                stats.firings += 1
-                if (triple in graph and triple not in over
-                        and triple not in next_over):
-                    next_over.add(triple)
-        for t in next_over:
-            over.add(t)
-            stats.derived += 1
-        current = next_over
-
-    overdeleted = over.copy()
-
-    # Phase 2: physical deletion.
-    for t in over:
-        graph.discard(t)
-
-    # Phase 3: one-step rederivation into the re-closure seed.
-    seed = Graph()
-    if len(over):
-        for t in over:
-            if t in asserted:
-                seed.add(t)
-        if len(graph):
-            over_preds = set(over.predicates())
-            stats.iterations += 1
-            if dispatch is not None:
-                candidates = dispatch.candidates(graph.predicates())
-            else:
-                candidates = list(range(n_rules))
-            live = [
-                i for i in candidates
-                if _head_may_rederive_term(kernels[i], over_preds)
-            ]
-            stats.rules_dispatched += len(live)
-            stats.rules_skipped += n_rules - len(live)
-            remnant = graph.copy()
-            for i in live:
-                for triple in kernels[i].eval_delta(graph, remnant, stats):
-                    if triple is None:
-                        continue
-                    stats.firings += 1
-                    if triple in over and triple not in seed:
-                        seed.add(triple)
-        stats.derived += len(seed)
-
-    # Phase 4: re-closure from the rederived rows plus the additions.
-    fresh_adds = Graph()
-    for t in adds:
-        seed.add(t)
-        if t not in graph:
-            fresh_adds.add(t)
-    inferred = Graph()
-    if len(seed):
-        result = engine.run(graph, delta=list(seed))
-        stats.merge(result.stats)
-        inferred = result.inferred
-
-    added = Graph()
-    for t in fresh_adds:
-        if t not in overdeleted:
-            added.add(t)
-    for t in inferred:
-        if t not in overdeleted:
-            added.add(t)
-    removed_g = Graph()
-    for t in overdeleted:
-        if t not in graph:
-            removed_g.add(t)
-    return TermDredResult(
-        added=added, removed=removed_g, overdeleted=overdeleted, stats=stats)
-
-
-def _head_may_rederive_term(kernel: object, over_preds: set) -> bool:
-    p = kernel.rule.head.p  # type: ignore[attr-defined]
-    if isinstance(p, Variable):
-        return True
-    return p in over_preds

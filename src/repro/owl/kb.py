@@ -11,7 +11,7 @@ frequency of data being added is much smaller than that of queries"
   so a small addition costs work proportional to its consequences, not to
   the KB (the reason materialization suits write-rarely/read-often
   workloads);
-* **query** — BGP queries and pattern matches run against the closed graph
+* **query** — BGP queries and pattern matches run against the closed store
   with no reasoning on the read path;
 * **parallel load** — the initial bulk load can be delegated to the
   paper's parallel reasoner, which is the entire point of the paper: cut
@@ -24,24 +24,100 @@ frequency of data being added is much smaller than that of queries"
   base) remains as the differential oracle and the escape hatch for
   bulk retractions where DRed's overdeletion would touch most of the
   closure anyway.
+
+**The id store is the KB.**  The only state is a
+:class:`~repro.rdf.dictionary.TermDictionary`, the closure as an id store
+(:class:`~repro.rdf.idstore.IdGraph` or
+:class:`~repro.rdf.runstore.RunStore`), the asserted base as an
+:class:`~repro.rdf.idstore.IdGraph`, and the
+:class:`~repro.datalog.columnar.ColumnarEngine` over them — the shape the
+id-native :class:`~repro.parallel.worker.PartitionWorker` already has.
+Terms exist only at the boundary: input triples are encoded once on the
+way in; :attr:`~MaterializedKB.graph`, :attr:`~MaterializedKB.base_graph`,
+:meth:`~MaterializedKB.match`, query bindings and
+:class:`ApplyResult` are decoded on the way out, on demand.  Reads never
+mint dictionary ids; the dictionary itself never forgets a term (a
+retracted triple's terms keep their ids).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Literal
 
 from repro.datalog.ast import Atom, Bindings
-from repro.datalog.engine import ApplyResult, EngineStats, SemiNaiveEngine
+from repro.datalog.columnar import ColumnarEngine, Columns, IdStore
+from repro.datalog.engine import EngineStats
+from repro.datalog.incremental import dred_id
 from repro.owl.compiler import CompiledRuleSet, compile_ontology
+from repro.rdf.dictionary import (
+    TermDictionary,
+    decode_rows,
+    encode_rows,
+    lookup_rows,
+)
 from repro.rdf.graph import Graph
-from repro.rdf.idquery import IdIndex
-from repro.rdf.query import BGPQuery
-from repro.rdf.terms import Term
+from repro.rdf.idquery import IdIndex, join_pattern
+from repro.rdf.idstore import IdGraph
+from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
+
+_S, _P, _O = Variable("s"), Variable("p"), Variable("o")
+
+
+@dataclass
+class ApplyResult:
+    """Outcome of one incremental maintenance step (DRed): ``added``
+    holds the closure triples newly present, ``removed`` the ones no
+    longer present (retracted rows that neither stayed asserted nor
+    rederived) — both decoded from the net id delta, so their cost is
+    proportional to the delta."""
+
+    added: Graph
+    removed: Graph
+    stats: EngineStats = field(default_factory=EngineStats)
+
+
+def _spo(triples: Iterable[Triple]) -> Iterator[tuple[Term, Term, Term]]:
+    for t in triples:
+        if not isinstance(t, Triple):
+            raise TypeError(f"expected Triple, got {type(t).__name__}")
+        yield t.s, t.p, t.o
+
+
+class _TermView:
+    """A decoded :class:`Graph` snapshot of one id store, cached against
+    the store's version: reused while the store is unchanged, dropped —
+    not patched — once the version moves (or the store is replaced)."""
+
+    def __init__(self) -> None:
+        #: (store, store version) the snapshot was decoded at; compared
+        #: against the live store on every read (the staleness guard).
+        self._key: tuple[IdStore, int] | None = None
+        self._graph: Graph | None = None
+
+    def of(self, dictionary: TermDictionary, store: IdStore) -> Graph:
+        key = self._key
+        if (self._graph is None or key is None or key[0] is not store
+                or key[1] != store.version):
+            self._graph = Graph(decode_rows(dictionary, *store.columns()))
+            self._key = (store, store.version)
+        return self._graph
 
 
 class MaterializedKB:
     """An OWL-Horst knowledge base materialized at load time.
+
+    ``store`` / ``memory_budget_bytes`` select the closure's storage
+    (``"dense"`` int64 columns, or ``"run"``: compressed sorted runs under
+    a resident-byte cap; a budget implies ``"run"``).  ``sanitize`` opts
+    the store into the runtime invariant checks (``None`` defers to
+    ``REPRO_SANITIZE``; see :mod:`repro.analysis.sanitize`).  The KB
+    always reasons on the columnar id engine — ``engine`` is accepted
+    only as ``None`` / ``"columnar"``; the term-level engines live on in
+    :class:`~repro.datalog.engine.SemiNaiveEngine` and
+    :class:`~repro.owl.reasoner.HorstReasoner`.
 
     >>> from repro.rdf import Graph, URI
     >>> from repro.owl.vocabulary import OWL, RDF
@@ -63,47 +139,61 @@ class MaterializedKB:
         self,
         ontology: Graph,
         include_sameas_propagation: bool | str = "auto",
-        compile_rules: bool = True,
         engine: str | None = None,
         store: str | None = None,
         memory_budget_bytes: int | None = None,
         sanitize: bool | None = None,
     ) -> None:
+        if engine not in (None, "columnar"):
+            raise ValueError(
+                f"MaterializedKB reasons on the columnar id engine only, got "
+                f"engine={engine!r}; the term-level engines live in "
+                "SemiNaiveEngine / HorstReasoner")
         self.compiled: CompiledRuleSet = compile_ontology(
             ontology, include_sameas_propagation=include_sameas_propagation
         )
-        # ``engine="columnar"`` keeps an id-encoded mirror of the closed
-        # graph across incremental add() calls (the engine caches it per
-        # graph object), so repeated small loads stay cheap.  ``store`` /
-        # ``memory_budget_bytes`` select that mirror's storage: "run"
-        # keeps it as compressed sorted runs under a resident-byte cap.
-        # ``sanitize`` opts the mirror into the runtime invariant checks
-        # (None defers to REPRO_SANITIZE; see repro.analysis.sanitize).
-        self._engine = SemiNaiveEngine(self.compiled.rules,
-                                       compile_rules=compile_rules,
-                                       engine=engine,
-                                       store=store,
-                                       memory_budget_bytes=memory_budget_bytes,
-                                       sanitize=sanitize)
-        self._base = Graph()
-        self._closed = Graph()
-        self._stats = EngineStats()
-        self._id_indexes: dict[str, IdIndex] = {}
+        self._dictionary = TermDictionary()
+        self._columnar = ColumnarEngine(self.compiled.rules, self._dictionary)
+        # Imported lazily: the repro.analysis package imports repro.datalog.
+        from repro.analysis.sanitize import make_store
 
-    # -- loading ----------------------------------------------------------------
+        self._new_store = partial(
+            make_store, store, memory_budget_bytes=memory_budget_bytes,
+            sanitize=sanitize, label="kb-closure")
+        self._store: IdStore = self._new_store()
+        #: The asserted (explicit) facts — DRed's persistent ``asserted``
+        #: set and the seed :meth:`rebuild` re-closes from.
+        self._base = IdGraph()
+        self._stats = EngineStats()
+        self._last_load_stats = EngineStats()
+        self._last_parallel_run = None
+        self._index = IdIndex(self)
+        self._closure_view = _TermView()
+        self._base_view = _TermView()
+
+    # Compatibility: the frozen benchmarks/harness/workloads.py:107 reads
+    # `kb._engine._mirror`; the next benchmark PR reads `kb.id_store`, delete then.
+    _engine = property(lambda self: self)
+    _mirror = property(lambda self: self._store)
+
+    # -- loading -------------------------------------------------------------------
+
+    def _load(self, rows: Columns) -> int:
+        """Assert encoded rows and resume the fixpoint from the ones that
+        were new to the base; returns how many were."""
+        fresh = self._base.add_rows(*rows)
+        stats = EngineStats()
+        if len(fresh[0]):
+            stats = self._columnar.run(self._store, delta=fresh).stats
+            self._stats.merge(stats)
+        self._last_load_stats = stats
+        return len(fresh[0])
 
     def add(self, triples: Iterable[Triple]) -> int:
         """Load triples and incrementally re-close.  Returns the number of
         *base* triples that were new; consequences are materialized as a
         side effect (see :attr:`last_load_stats` for their count)."""
-        fresh = [t for t in triples if self._base.add(t)]
-        if fresh:
-            result = self._engine.run(self._closed, delta=fresh)
-            self._stats.merge(result.stats)
-            self._last_load_stats = result.stats
-        else:
-            self._last_load_stats = EngineStats()
-        return len(fresh)
+        return self._load(encode_rows(self._dictionary, _spo(triples)))
 
     def bulk_load(
         self,
@@ -130,7 +220,7 @@ class MaterializedKB:
         (:mod:`repro.serving`) adopts the cluster it serves from.
         """
         if parallel_k is None:
-            self.add(iter(graph))
+            self._load(encode_rows(self._dictionary, graph.spo_items()))
             return
         if len(self._base) > 0:
             raise RuntimeError(
@@ -156,10 +246,11 @@ class MaterializedKB:
             raise ValueError(
                 f'backend must be "bsp" or "async", got {backend!r}')
         self._last_parallel_run = result
-        self._base.update(iter(graph))
-        for t in result.graph:
-            if t not in reasoner.compiled.schema:
-                self._closed.add(t)
+        self._base.add_rows(*encode_rows(self._dictionary, graph.spo_items()))
+        schema = reasoner.compiled.schema
+        self._store.add_rows(*encode_rows(self._dictionary, (
+            t for t in result.graph.spo_items()
+            if not schema.contains_spo(*t))))
         # The cluster's engine work counts toward this KB's totals just
         # like a serial load's would — merged, not discarded.
         self._stats.merge(engine_stats)
@@ -176,42 +267,57 @@ class MaterializedKB:
         Retraction targets *base* facts: a triple in ``removes`` that
         was never asserted is a no-op (if it is derivable it stays
         derivable), and a retracted base triple that is still derivable
-        from the remaining base survives in the closure.  Returns the
-        engine's :class:`~repro.datalog.engine.ApplyResult` (net added /
-        removed closure triples plus work stats, also merged into
-        :attr:`total_stats` and exposed as :attr:`last_load_stats`).
+        from the remaining base survives in the closure.  Returns an
+        :class:`ApplyResult` (net added / removed closure triples plus
+        work stats, also merged into :attr:`total_stats` and exposed as
+        :attr:`last_load_stats`).
         """
-        retracted = [t for t in removes if self._base.discard(t)]
-        fresh = [t for t in adds if self._base.add(t)]
-        if not retracted and not fresh:
-            self._last_load_stats = EngineStats()
-            return ApplyResult(graph=self._closed, added=Graph(),
-                               removed=Graph())
-        result = self._engine.apply(
-            self._closed, adds=fresh, removes=retracted,
-            asserted=self._base)
-        self._stats.merge(result.stats)
-        self._last_load_stats = result.stats
-        return result
+        base = self._base
+        retracted = lookup_rows(self._dictionary, _spo(removes))
+        asserted = base.contains_rows(*retracted)
+        retracted = (retracted[0][asserted], retracted[1][asserted],
+                     retracted[2][asserted])
+        base.delete_rows(*retracted)
+        fresh = base.add_rows(*encode_rows(self._dictionary, _spo(adds)))
+        outcome = dred_id(self._columnar, self._store, fresh, retracted, base)
+        self._stats.merge(outcome.stats)
+        self._last_load_stats = outcome.stats
+        return ApplyResult(
+            added=Graph(decode_rows(self._dictionary, *outcome.added)),
+            removed=Graph(decode_rows(self._dictionary, *outcome.removed)),
+            stats=outcome.stats)
 
     def rebuild(self) -> None:
-        """Re-close from scratch off the retained base triples — the
+        """Re-close from scratch off the retained base rows — the
         differential oracle for :meth:`apply` and the better tool when a
         retraction batch is large enough that overdeletion would visit
         most of the closure."""
-        self._closed = self._base.copy()
-        self._id_indexes.clear()  # the old indexes mirror the old graph
+        self._store = self._new_store(capacity=len(self._base))
+        self._store.add_rows(*self._base.columns())
         self._stats = EngineStats()
-        result = self._engine.run(self._closed)
+        result = self._columnar.run(self._store)
         self._stats.merge(result.stats)
         self._last_load_stats = result.stats
 
     # -- reading -----------------------------------------------------------------
 
     @property
+    def id_store(self) -> IdStore:
+        """The closure as id rows — the KB's authoritative state (replaced
+        by :meth:`rebuild`, mutated in place by every other write).  Treat
+        as read-only."""
+        return self._store
+
+    @property
+    def dictionary(self) -> TermDictionary:
+        """The term <-> id mapping of :attr:`id_store`.  It only grows:
+        a retracted triple's terms keep their ids."""
+        return self._dictionary
+
+    @property
     def size(self) -> int:
         """Triples in the closed KB (base + inferred)."""
-        return len(self._closed)
+        return len(self._store)
 
     @property
     def base_size(self) -> int:
@@ -219,17 +325,22 @@ class MaterializedKB:
 
     @property
     def inferred_size(self) -> int:
-        return len(self._closed) - len(self._base)
+        return len(self._store) - len(self._base)
 
     @property
     def graph(self) -> Graph:
-        """The closed graph.  Treat as read-only; mutating it bypasses the
-        base-triple bookkeeping."""
-        return self._closed
+        """The closed KB decoded into a term :class:`Graph` — a
+        **snapshot**, not a live alias: a full decode, cached until the
+        next write, after which a fresh access decodes again and a held
+        reference keeps showing the old state.  Treat as read-only (the
+        cached object is shared between callers)."""
+        return self._closure_view.of(self._dictionary, self._store)
 
     @property
     def base_graph(self) -> Graph:
-        return self._base
+        """The asserted triples as a term :class:`Graph` snapshot (same
+        contract as :attr:`graph`); retract through :meth:`apply`."""
+        return self._base_view.of(self._dictionary, self._base)
 
     @property
     def last_parallel_run(self):
@@ -238,26 +349,27 @@ class MaterializedKB:
         :class:`~repro.parallel.async_backend.AsyncRunResult`), ``None``
         before any parallel load.  Its ``workers`` stay resident — the
         serving tier adopts them."""
-        return getattr(self, "_last_parallel_run", None)
+        return self._last_parallel_run
 
     @property
     def last_load_stats(self) -> EngineStats:
         """Engine stats of the most recent load operation (:meth:`add`,
         :meth:`apply`, :meth:`bulk_load`, or :meth:`rebuild`)."""
-        return getattr(self, "_last_load_stats", EngineStats())
+        return self._last_load_stats
 
     @property
     def total_stats(self) -> EngineStats:
         return self._stats
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._closed
+        row = lookup_rows(self._dictionary, _spo([triple]))
+        return bool(self._store.contains_rows(*row).any())
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._closed)
+        return self.match()
 
     def match(
         self,
@@ -265,27 +377,33 @@ class MaterializedKB:
         p: Term | None = None,
         o: Term | None = None,
     ) -> Iterator[Triple]:
-        """Pattern match against the closed KB (no reasoning on read)."""
-        return self._closed.match(s, p, o)
+        """Pattern match against the closed KB (no reasoning on read):
+        one prefix probe of the id store, decoded."""
+        atom = Atom(_S if s is None else s, _P if p is None else p,
+                    _O if o is None else o)
+        env, n, _probes = join_pattern(
+            self._store, atom, {}, 1, self._dictionary.get)
+        if n == 0:  # includes a never-seen constant: env has no columns
+            return iter(())
+        decode = self._dictionary.decode_many
+        return map(Triple, *(
+            decode(env[t]) if isinstance(t, Variable) else [t] * n
+            for t in atom))
 
     def query(self, patterns: Iterable[Atom]) -> Iterator[Bindings]:
         """Run a BGP query against the closed KB."""
-        return BGPQuery(list(patterns)).execute(self._closed)
+        return iter(self._index.execute(list(patterns)))
 
     def ask(self, patterns: Iterable[Atom]) -> bool:
-        return BGPQuery(list(patterns)).ask(self._closed)
+        return self._index.ask(list(patterns))
 
-    def id_index(self, store: str = "dense") -> IdIndex:
-        """An id-native vectorized query index over the closed KB
+    def id_index(self) -> IdIndex:
+        """The id-native vectorized query surface over the closed KB
         (:mod:`repro.rdf.idquery`) — the fast read path for repeated
-        queries.  Cached per store kind; the index keys on the closed
-        graph's version counter, so the first query after an
-        :meth:`add`/:meth:`apply` transparently rebuilds the mirror."""
-        cached = self._id_indexes.get(store)
-        if cached is None:
-            cached = self._id_indexes[store] = IdIndex(
-                self._closed, store=store)
-        return cached
+        queries.  Its ``current()`` is this KB's own live
+        ``(dictionary, id_store)``: nothing is copied, so a read after a
+        write sees the write with nothing to rebuild."""
+        return self._index
 
     def __repr__(self) -> str:
         return (

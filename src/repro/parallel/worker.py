@@ -37,7 +37,12 @@ from repro.datalog.engine import EngineStats, SemiNaiveEngine
 from repro.parallel.faults import maybe_crash
 from repro.parallel.messages import EncodedBatch, Message, RemovalBatch, TupleBatch
 from repro.parallel.routing import Router
-from repro.rdf.dictionary import PartitionDictionary
+from repro.rdf.dictionary import (
+    PartitionDictionary,
+    decode_rows,
+    encode_rows,
+    lookup_rows,
+)
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, member_mask
 from repro.rdf.runstore import RunStore
@@ -146,9 +151,10 @@ class PartitionWorker:
         #: it from whether a budget was given.  Recorded on the worker so
         #: supervision can rebuild adopted incarnations with the same
         #: storage and budget.
-        if store is None:
-            store = "run" if memory_budget_bytes is not None else "dense"
-        self.store = store
+        # Imported lazily: the repro.analysis package imports repro.datalog.
+        from repro.analysis.sanitize import make_store, store_kind
+
+        self.store = store_kind(store, memory_budget_bytes)
         self.memory_budget_bytes = memory_budget_bytes
         #: Runtime-sanitizer switch (tri-state; None defers to
         #: REPRO_SANITIZE).  Recorded so supervision rebuilds adopted
@@ -159,31 +165,16 @@ class PartitionWorker:
             self.engine = None
             self._columnar: ColumnarEngine | None = ColumnarEngine(
                 self.rules, dictionary)
-            self._idgraph: IdGraph | RunStore | None
-            from repro.analysis.sanitize import make_store, sanitize_enabled
-
-            if sanitize_enabled(sanitize):
-                self._idgraph = make_store(
-                    store,
-                    capacity=len(self.graph),
-                    memory_budget_bytes=memory_budget_bytes,
-                    label=f"worker{node_id}-store",
-                    seed=node_id,
-                )
-            elif store == "run":
-                self._idgraph = RunStore(
-                    memory_budget_bytes=memory_budget_bytes)
-            else:
-                self._idgraph = IdGraph(capacity=len(self.graph))
-            enc = dictionary.encode
-            s_list, p_list, o_list = [], [], []
-            for t in self.graph:
-                s_list.append(enc(t.s))
-                p_list.append(enc(t.p))
-                o_list.append(enc(t.o))
-            s_arr = np.asarray(s_list, dtype=np.int64)
-            p_arr = np.asarray(p_list, dtype=np.int64)
-            o_arr = np.asarray(o_list, dtype=np.int64)
+            self._idgraph: IdGraph | RunStore | None = make_store(
+                self.store,
+                capacity=len(self.graph),
+                memory_budget_bytes=memory_budget_bytes,
+                sanitize=sanitize,
+                label=f"worker{node_id}-store",
+                seed=node_id,
+            )
+            s_arr, p_arr, o_arr = encode_rows(
+                dictionary, self.graph.spo_items())
             self._idgraph.add_rows(s_arr, p_arr, o_arr)
             #: The asserted rows (base partition + schema) in id space —
             #: DRed's rederivation keeps asserted-but-also-derivable rows
@@ -677,27 +668,11 @@ class PartitionWorker:
         d = self.dictionary
         idg = self._idgraph
         assert d is not None and idg is not None
-        removed = 0
-        rm_rows: list[tuple[int, int, int]] = []
-        for t in removes:
-            s_id, p_id, o_id = d.get(t.s), d.get(t.p), d.get(t.o)
-            if s_id is None or p_id is None or o_id is None:
-                continue
-            rm_rows.append((s_id, p_id, o_id))
-        if rm_rows:
-            arr = np.asarray(rm_rows, dtype=np.int64)
-            removed = idg.delete_rows(
-                arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
-        added = 0
-        add_list = list(adds)
-        if add_list:
-            enc = d.encode
-            s_arr = np.asarray([enc(t.s) for t in add_list], dtype=np.int64)
-            p_arr = np.asarray([enc(t.p) for t in add_list], dtype=np.int64)
-            o_arr = np.asarray([enc(t.o) for t in add_list], dtype=np.int64)
-            fresh = idg.add_rows(s_arr, p_arr, o_arr)
-            added = len(fresh[0])
-        return added, removed
+        removed = idg.delete_rows(
+            *lookup_rows(d, ((t.s, t.p, t.o) for t in removes)))
+        fresh = idg.add_rows(
+            *encode_rows(d, ((t.s, t.p, t.o) for t in adds)))
+        return len(fresh[0]), removed
 
     # -- distributed DRed (id-native only) --------------------------------------
 
@@ -837,12 +812,6 @@ class PartitionWorker:
         id -> term materialization point of a run."""
         if self.id_native:
             assert self.dictionary is not None and self._idgraph is not None
-            s, p, o = self._idgraph.columns()
-            d = self.dictionary
-            out = Graph()
-            for st, pt, ot in zip(
-                d.decode_many(s), d.decode_many(p), d.decode_many(o)
-            ):
-                out.add(Triple(st, pt, ot))
-            return out
+            return Graph(
+                decode_rows(self.dictionary, *self._idgraph.columns()))
         return self.graph

@@ -33,6 +33,7 @@ additionally *canonicalize* received rows (:meth:`PartitionDictionary
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -159,6 +160,44 @@ class TermDictionary:
         for term in terms:
             d.encode(term)
         return d
+
+
+def encode_rows(
+    dictionary: "TermDictionary | PartitionDictionary",
+    spo: Iterable[tuple[Term, Term, Term]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, p, o)`` id columns for ``(s, p, o)`` term rows — the ingest
+    side of the term/id boundary.  One :meth:`encode_many` pass over the
+    flattened rows, so unseen terms are minted in row-major order."""
+    flat = dictionary.encode_many(chain.from_iterable(spo))
+    s, p, o = np.ascontiguousarray(flat.reshape(-1, 3).T)
+    return s, p, o
+
+
+def lookup_rows(
+    dictionary: "TermDictionary | PartitionDictionary",
+    spo: Iterable[tuple[Term, Term, Term]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Like :func:`encode_rows` but *without* minting: rows with a
+    never-seen term are dropped (they cannot be in any store keyed by
+    this dictionary) — the lookup side of removals and membership."""
+    get = dictionary.get
+    rows = [ids for ids in ((get(s), get(p), get(o)) for s, p, o in spo)
+            if None not in ids]
+    s, p, o = np.ascontiguousarray(
+        np.asarray(rows, dtype=np.int64).reshape(-1, 3).T)
+    return s, p, o
+
+
+def decode_rows(
+    dictionary: "TermDictionary | PartitionDictionary",
+    s: np.ndarray,
+    p: np.ndarray,
+    o: np.ndarray,
+) -> Iterator[Triple]:
+    """The triples of ``(s, p, o)`` id columns — the egress side."""
+    decode = dictionary.decode_many
+    return map(Triple, decode(s), decode(p), decode(o))
 
 
 class PartitionDictionary:

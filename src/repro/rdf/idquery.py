@@ -29,7 +29,11 @@ repeated-variable filtering, exactly as ``match_atom`` counts index hits
 before ``match_triple``.  Under ``ordering="bound"`` the two engines'
 probe counts are therefore equal on equal stores.
 
-:class:`IdIndex` bridges from term land: a cached id-encoded mirror of a
+:class:`IdIndex` is the query facade over one ``(dictionary, store)``
+pair.  Over an owner that already lives in id space
+(:class:`~repro.owl.kb.MaterializedKB`) it answers from the owner's own
+live pair — nothing is copied and nothing is rebuilt after a write.  From
+term land it bridges: a cached id-encoded mirror of a
 :class:`~repro.rdf.graph.Graph`, keyed on the graph's version counter and
 rebuilt only when the graph actually changed — the contract the ST300
 dataflow verifier checks declaratively (see
@@ -44,7 +48,7 @@ import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
 from repro.datalog.columnar import IdStore
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import TermDictionary, encode_rows
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, pack_columns
 from repro.rdf.query import BGPQuery, BGPStats
@@ -54,6 +58,17 @@ from repro.rdf.terms import Term, Variable
 _EMPTY = np.empty(0, dtype=np.int64)
 
 _ORDERINGS = ("estimate", "bound")
+
+
+class SupportsIdStore(Protocol):
+    """An owner whose authoritative state *is* an id store — what
+    :class:`IdIndex` answers from without mirroring."""
+
+    @property
+    def dictionary(self) -> TermDictionary: ...
+
+    @property
+    def id_store(self) -> IdStore: ...
 
 
 class SupportsQueryDictionary(Protocol):
@@ -343,25 +358,35 @@ def _patterns_of(query: BGPQuery | Sequence[Atom]) -> Sequence[Atom]:
 
 
 class IdIndex:
-    """A cached id-encoded mirror of a term :class:`Graph`.
+    """The id-native query surface over a term :class:`Graph` or over an
+    owner that is already id-native.
 
-    The mirror — a private :class:`TermDictionary` plus an id store
-    holding the encoded rows — is built lazily and keyed on the graph's
-    monotone :attr:`~repro.rdf.graph.Graph.version` counter: queries
-    between graph mutations reuse it, the first query after a mutation
-    rebuilds.  ``store="run"`` mirrors into a :class:`RunStore` instead
-    of the dense :class:`IdGraph` (same probe surface, compressed runs).
+    Given a :class:`SupportsIdStore` owner, :meth:`current` returns the
+    owner's own live ``(dictionary, id_store)``: no second dictionary,
+    no copy, nothing to rebuild after a write.
+
+    Given a :class:`Graph`, the index keeps a mirror — a private
+    :class:`TermDictionary` plus an id store holding the encoded rows —
+    built lazily and keyed on the graph's monotone
+    :attr:`~repro.rdf.graph.Graph.version` counter: queries between graph
+    mutations reuse it, the first query after a mutation rebuilds.
+    ``store="run"`` mirrors into a :class:`RunStore` instead of the dense
+    :class:`IdGraph` (same probe surface, compressed runs).
     """
 
     def __init__(
         self,
-        graph: Graph,
+        source: Graph | SupportsIdStore,
         store: str = "dense",
         ordering: str = "estimate",
     ) -> None:
         if store not in ("dense", "run"):
             raise ValueError(f'store must be "dense" or "run", got {store!r}')
-        self._graph = graph
+        if store != "dense" and not isinstance(source, Graph):
+            raise ValueError(
+                "store= picks the mirror built from a Graph; an id-native "
+                "owner is queried on whatever store it has")
+        self._source = source
         self._store_kind = store
         self._ordering = ordering
         #: Graph version the mirror was built at; compared against the
@@ -370,75 +395,57 @@ class IdIndex:
         self._mirror: tuple[TermDictionary, IdGraph | RunStore] | None = None
 
     def current(self) -> tuple[TermDictionary, IdGraph | RunStore]:
-        """The up-to-date ``(dictionary, store)`` mirror, rebuilding if
-        the underlying graph's version moved."""
-        key = self._graph.version
+        """The up-to-date ``(dictionary, store)``: the owner's live pair,
+        or the graph mirror, rebuilt if the graph's version moved."""
+        graph = self._source
+        if not isinstance(graph, Graph):
+            return graph.dictionary, graph.id_store
+        key = graph.version
         if self._mirror is None or self._key != key:
             dictionary = TermDictionary()
-            n = len(self._graph)
-            s = np.empty(n, dtype=np.int64)
-            p = np.empty(n, dtype=np.int64)
-            o = np.empty(n, dtype=np.int64)
-            enc = dictionary.encode
-            for i, t in enumerate(self._graph):
-                s[i] = enc(t.s)
-                p[i] = enc(t.p)
-                o[i] = enc(t.o)
             mirror_store: IdGraph | RunStore = (
                 RunStore() if self._store_kind == "run" else IdGraph())
-            mirror_store.add_rows(s, p, o)
+            mirror_store.add_rows(*encode_rows(dictionary, graph.spo_items()))
             self._mirror = (dictionary, mirror_store)
             self._key = key
         return self._mirror
 
     def query(self, query: BGPQuery | Sequence[Atom]) -> IdBGPQuery:
-        """An :class:`IdBGPQuery` bound to the current mirror's
-        dictionary (rebuild the returned object after graph mutations)."""
-        dictionary, _store = self.current()
+        """An :class:`IdBGPQuery` bound to the current dictionary (for a
+        graph mirror, rebuild the returned object after graph mutations)."""
         return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering)
+            _patterns_of(query), self.current()[0], ordering=self._ordering)
 
     def execute(
         self,
         query: BGPQuery | Sequence[Atom],
         bindings: Bindings | None = None,
     ) -> list[Bindings]:
-        dictionary, store = self.current()
-        return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering
-        ).execute(store, bindings)
+        return self.query(query).execute(self.current()[1], bindings)
 
     def execute_with_stats(
         self,
         query: BGPQuery | Sequence[Atom],
         bindings: Bindings | None = None,
     ) -> tuple[list[Bindings], BGPStats]:
-        dictionary, store = self.current()
-        return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering
-        ).execute_with_stats(store, bindings)
+        return self.query(query).execute_with_stats(
+            self.current()[1], bindings)
 
     def select(
         self, query: BGPQuery | Sequence[Atom], *variables: Variable
     ) -> list[tuple[Term, ...]]:
-        dictionary, store = self.current()
-        return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering
-        ).select(store, *variables)
+        return self.query(query).select(self.current()[1], *variables)
 
     def ask(self, query: BGPQuery | Sequence[Atom]) -> bool:
-        dictionary, store = self.current()
-        return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering
-        ).ask(store)
+        return self.query(query).ask(self.current()[1])
 
     def count(self, query: BGPQuery | Sequence[Atom]) -> int:
-        dictionary, store = self.current()
-        return IdBGPQuery(
-            _patterns_of(query), dictionary, ordering=self._ordering
-        ).count(store)
+        return self.query(query).count(self.current()[1])
 
     def __repr__(self) -> str:
-        built = "stale" if self._key != self._graph.version else "fresh"
-        return (f"<IdIndex over {len(self._graph)} triples "
+        source = self._source
+        if not isinstance(source, Graph):
+            return f"<IdIndex over the live store of {source!r}>"
+        built = "stale" if self._key != source.version else "fresh"
+        return (f"<IdIndex over {len(source)} triples "
                 f"({self._store_kind}, {built})>")

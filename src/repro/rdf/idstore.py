@@ -98,6 +98,22 @@ def member_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
     )
 
 
+def concat_columns(
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate ``(s, p, o)`` column triples row-wise (a single part
+    is returned as is, no parts as empty columns)."""
+    if not parts:
+        return _EMPTY, _EMPTY, _EMPTY
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] for p in parts]),
+    )
+
+
 class IdGraph:
     """A set of id-encoded triples as growable int64 columns.
 

@@ -100,6 +100,7 @@ import numpy as np
 
 from repro.rdf.idstore import (
     IdGraph,
+    concat_columns,
     expand_ranges,
     member_mask,
     pack_columns,
@@ -155,18 +156,6 @@ def _width_for(max_value: int) -> int:
 
 def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
     return sum(int(a.nbytes) for a in arrays)
-
-
-def _concat3(parts: list[Columns]) -> Columns:
-    if not parts:
-        return _EMPTY, _EMPTY, _EMPTY
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
 
 
 class _OrderIndex:
@@ -333,7 +322,7 @@ class _IndexBuilder:
     def _flush(self, final: bool) -> None:
         if self._pending_rows == 0:
             return
-        cols = _concat3(self._pending)
+        cols = concat_columns(self._pending)
         total = self._pending_rows
         self._pending = []
         self._pending_rows = 0
@@ -413,7 +402,7 @@ class _MergeCursor:
         parts = [self.idx.decode_block(b)
                  for b in range(self._next_block, end)]
         self._next_block = end
-        self.cols = _concat3(parts)
+        self.cols = concat_columns(parts)
         self.keys = pack_columns(self.cols)
         return True
 
@@ -530,15 +519,15 @@ class RunStore:
         parts: list[Columns] = []
         for run in self._runs:
             idx = run.canonical
-            parts.append(_concat3(
+            parts.append(concat_columns(
                 [idx.decode_block(b) for b in range(idx.n_blocks)]))
         if parts and len(self._tombs):
-            s, p, o = _concat3(parts)
+            s, p, o = concat_columns(parts)
             alive = ~self._tombs.contains_rows(s, p, o)
             parts = [(s[alive], p[alive], o[alive])]
         if len(self._tail):
             parts.append(self._tail.columns())
-        return _concat3(parts)
+        return concat_columns(parts)
 
     def column(self, position: int) -> np.ndarray:
         """One fully decoded column by triple position (0=s, 1=p, 2=o)."""
@@ -731,13 +720,13 @@ class RunStore:
             limit = np.sort(
                 np.concatenate([c.keys[-1:] for c in active]))[:1]
             slabs = [c.take(limit) for c in active]
-            merged = _concat3(slabs)
+            merged = concat_columns(slabs)
             perm = np.argsort(pack_columns(merged), kind="stable")
             builder.append(strip(
                 (merged[0][perm], merged[1][perm], merged[2][perm])))
             active = [c for c in active if c.refill()]
         if drop is not None and consumed:
-            gone = _concat3(consumed)
+            gone = concat_columns(consumed)
             drop.delete_rows(*gone)
             self.tombstones_cleared += len(gone[0])
         return builder.finish(self._next_serial())
@@ -766,7 +755,7 @@ class RunStore:
         b = 0
         while b < can.n_blocks:
             end = min(b + chunk, can.n_blocks)
-            cols = _concat3([can.decode_block(i) for i in range(b, end)])
+            cols = concat_columns([can.decode_block(i) for i in range(b, end)])
             b = end
             ocols = (cols[order[0]], cols[order[1]], cols[order[2]])
             perm = np.argsort(pack_columns(ocols), kind="stable")
@@ -813,7 +802,7 @@ class RunStore:
         the order prefix, through the cache."""
         cached = self._cache_get((idx.serial, 0, 0))
         if cached is None:
-            cols = _concat3(
+            cols = concat_columns(
                 [idx.decode_block(b) for b in range(idx.n_blocks)])
             self._cache_put((idx.serial, 0, 0), cols)
         else:
@@ -873,7 +862,7 @@ class RunStore:
         """Decoded columns + packed prefix keys over a sorted subset of
         blocks (still globally key-sorted — blocks are consecutive runs
         of a sorted sequence)."""
-        cols = _concat3([self._block_cols(idx, int(b)) for b in blocks])
+        cols = concat_columns([self._block_cols(idx, int(b)) for b in blocks])
         return cols, pack_columns(cols[:prefix_len])
 
     def _probe_index(
@@ -938,7 +927,7 @@ class RunStore:
             return (_EMPTY, _EMPTY, _EMPTY), _EMPTY
         if len(parts_cols) == 1:
             return parts_cols[0], parts_reps[0]
-        return _concat3(parts_cols), np.concatenate(parts_reps)
+        return concat_columns(parts_cols), np.concatenate(parts_reps)
 
     def count_matching(
         self, positions: tuple[int, ...], query_cols: tuple[np.ndarray, ...]

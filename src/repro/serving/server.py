@@ -42,8 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
-from repro.datalog.engine import ApplyResult
-from repro.owl.kb import MaterializedKB
+from repro.owl.kb import ApplyResult, MaterializedKB
 from repro.parallel.query import GatherDictionary
 from repro.parallel.worker import PartitionWorker
 from repro.rdf.graph import Graph
@@ -165,12 +164,12 @@ class KBServer:
     parallel run (``ParallelRunResult.workers`` from the BSP driver or
     ``AsyncRunResult.workers`` from the in-process async runtime) — their
     columnar stores *are* the serving replicas.  Without workers the
-    server answers from ``kb.id_index()``, the single-node resident
-    mirror (same version-keyed caching discipline, one store).
+    server answers from ``kb.id_index()`` — the KB's own id store.
 
     ``kb`` stays the authority for updates: :meth:`apply` runs
-    delete-and-rederive there and propagates the net closure delta to the
-    worker stores.  One server per worker set — the server owns the
+    delete-and-rederive there (id-space DRed on the KB's store, on the
+    serve thread) and propagates the net closure delta to the worker
+    stores.  One server per worker set — the server owns the
     workers' query-session state.
     """
 
@@ -442,8 +441,8 @@ class KBServer:
                 # Union-read semantics only need each new row on one
                 # node; round-robin keeps the stores balanced.
                 k = len(self._workers)
-                for j, t in enumerate(added):
-                    self._workers[j % k].apply_closure_delta([t], ())
+                for j, worker in enumerate(self._workers):
+                    worker.apply_closure_delta(added[j::k], ())
         return result
 
     def __repr__(self) -> str:

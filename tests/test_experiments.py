@@ -55,9 +55,11 @@ class TestShapes:
         assert mdc_work > uobm_work
 
     def test_fig2_reasoning_decreases(self, tiny_results):
+        # On the deterministic per-node max work, not wall-clock seconds:
+        # the tiny run's reasoning column is milliseconds and flaked.
         result = tiny_results["fig2"]
-        reasoning = result.column("reasoning")
-        assert reasoning[-1] < reasoning[0]
+        work = result.column("work")
+        assert work[-1] < work[0]
 
     def test_fig3_measured_below_theory(self, tiny_results):
         result = tiny_results["fig3"]

@@ -159,18 +159,9 @@ class TestIdIndex:
         with pytest.raises(ValueError, match="dense"):
             IdIndex(graph, store="columnar")
 
-    def test_kb_id_index_is_cached_and_invalidated(self):
-        from repro.rdf.triple import Triple
-
-        kb = MaterializedKB(Graph())
-        kb.add([Triple(u("a"), u("p"), u("b"))])
-        index = kb.id_index()
-        assert kb.id_index() is index
-        assert index.count([Atom(X, u("p"), Y)]) == 1
-        kb.add([Triple(u("b"), u("p"), u("c"))])
-        # same index object, fresh mirror (version-keyed)
-        assert kb.id_index() is index
-        assert index.count([Atom(X, u("p"), Y)]) == 2
+    def test_live_owner_rejects_a_mirror_store_kind(self):
+        with pytest.raises(ValueError, match="id-native owner"):
+            IdIndex(MaterializedKB(Graph()), store="run")
 
 
 # -- hypothesis: random graphs, random conjunctive queries -------------------

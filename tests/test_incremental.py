@@ -1,14 +1,15 @@
-"""DRed incremental maintenance (``MaterializedKB.apply`` /
-``SemiNaiveEngine.apply`` / the distributed variant).
+"""DRed incremental maintenance (``MaterializedKB.apply`` over
+``dred_id``, and the distributed variant).
 
 The central property is differential: for any closure and any
 ``(adds, removes)`` batch, ``apply`` must land on exactly the closure a
-full :meth:`MaterializedKB.rebuild` computes from the retained base —
-across the generic, compiled, and columnar (dense + run store) engines,
-with the work counters equal field by field where the engines are
-comparable.  Around that sit the deletion-layer units (IdGraph
-compaction, RunStore tombstones) and the ``Graph.discard`` audit the
-engine's version-keyed mirror cache relies on.
+full :meth:`MaterializedKB.rebuild` computes from the retained base, and
+on the ``NaiveEngine`` closure of that base — over both store kinds
+(dense, run), with the work counters equal field by field between them
+and equal to a direct ``dred_id`` call on a copy of the same store.
+Around that sit the deletion-layer units (IdGraph compaction, RunStore
+tombstones) and the ``Graph.discard`` audit the ``SemiNaiveEngine``
+adapter's version-keyed mirror cache relies on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datalog.columnar import ColumnarEngine
 from repro.datalog.engine import EngineStats, SemiNaiveEngine
+from repro.datalog.incremental import dred_id
+from repro.datalog.naive import NaiveEngine
 from repro.datalog.parser import parse_rules
 from repro.owl.kb import MaterializedKB
 from repro.owl.vocabulary import OWL, RDF, RDFS
@@ -57,10 +61,8 @@ _objs = st.builds(lambda i: URI(f"n:{i}"), st.integers(0, 10)) | st.sampled_from
 _triples = st.builds(Triple, _nodes, _preds, _objs)
 
 ENGINE_CONFIGS = [
-    ("generic", dict(compile_rules=False)),
-    ("compiled", dict(compile_rules=True)),
-    ("columnar-dense", dict(engine="columnar")),
-    ("columnar-run", dict(engine="columnar", store="run")),
+    ("dense", dict(store="dense")),
+    ("run", dict(store="run")),
 ]
 
 
@@ -92,6 +94,11 @@ def test_apply_matches_rebuild(name, config, base, adds, data):
     oracle.add(iter(kb.base_graph))
     assert set(kb.graph) == set(oracle.graph)
     assert kb.base_graph == oracle.base_graph
+    # Second oracle, independent of the columnar stack: the textbook
+    # fixpoint of the retained base under the same compiled rules.
+    naive = Graph(kb.base_graph)
+    NaiveEngine(kb.compiled.rules).run(naive)
+    assert kb.graph == naive
     # Net accounting: added/removed describe the closure delta exactly.
     for t in result.added:
         assert t in kb.graph
@@ -103,40 +110,54 @@ def test_apply_matches_rebuild(name, config, base, adds, data):
     assert set(kb.graph) == snapshot
 
 
+def _copy_store(store) -> IdGraph:
+    copy = IdGraph()
+    copy.add_rows(*store.columns())
+    return copy
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     base=st.lists(_triples, min_size=2, max_size=20),
     adds=st.lists(_triples, max_size=5),
     data=st.data(),
 )
-def test_apply_stats_parity_across_engines(base, adds, data):
-    """compiled / columnar-dense / columnar-run tick the same six
-    counters for the same apply — the stats-equality contract that keeps
-    simulated-cluster work comparable across execution layers."""
+def test_apply_stats_parity_across_stores(base, adds, data):
+    """Dense and run store tick the same six counters for the same apply,
+    and both equal a direct ``dred_id`` call on a copy of the same store:
+    the KB adds encode/decode around DRed and nothing else."""
     tbox = _horst_tbox()
-    kbs = {
-        name: _kb(tbox, config)
-        for name, config in ENGINE_CONFIGS
-        if name != "generic"  # generic skips dispatch accounting
-    }
+    kbs = {name: _kb(tbox, config) for name, config in ENGINE_CONFIGS}
     for kb in kbs.values():
         kb.add(base)
-    pool = list(next(iter(kbs.values())).base_graph)
+    dense = kbs["dense"]
+    pool = list(dense.base_graph)
     removes = data.draw(
         st.lists(st.sampled_from(pool), max_size=4, unique=True)
     )
-    stats = {}
-    closures = {}
+
+    # The direct call, set up by hand before the KBs move: same rules and
+    # dictionary (so the same ids), copies of the closure and the base.
+    d = dense.dictionary
+    engine = ColumnarEngine(dense.compiled.rules, d)
+    store = _copy_store(dense.id_store)
+    asserted = IdGraph()
+    asserted.add_rows(*d.encode_many(
+        [term for t in pool for term in t]).reshape(-1, 3).T)
+    gone = d.encode_many(
+        [term for t in removes for term in t]).reshape(-1, 3).T
+    asserted.delete_rows(*gone)
+    fresh = asserted.add_rows(*d.encode_many(
+        [term for t in adds for term in t]).reshape(-1, 3).T)
+    direct = dred_id(engine, store, fresh, tuple(gone), asserted)
+
     for name, kb in kbs.items():
         kb.apply(adds=adds, removes=removes)
-        stats[name] = kb.last_load_stats
-        closures[name] = set(kb.graph)
-    reference = stats["compiled"]
-    for name, s in stats.items():
-        assert s == reference, (name, s, reference)
-    ref_closure = closures["compiled"]
-    for name, c in closures.items():
-        assert c == ref_closure, name
+        assert kb.last_load_stats == direct.stats, name
+        assert set(kb.graph) == set(dense.graph), name
+    s, p, o = store.columns()
+    assert len(store) == dense.size
+    assert dense.id_store.contains_rows(s, p, o).all()
 
 
 def test_delete_then_readd_roundtrip():
@@ -195,7 +216,7 @@ def test_remove_nonbase_is_noop():
 
 
 def test_empty_apply_returns_empty_result():
-    kb = _kb(_horst_tbox(), dict(engine="columnar"))
+    kb = _kb(_horst_tbox(), {})
     kb.add([Triple(URI("n:a"), URI("ex:partOf"), URI("n:b"))])
     result = kb.apply()
     assert len(result.added) == 0 and len(result.removed) == 0
@@ -366,30 +387,6 @@ def test_columnar_mirror_invalidated_by_external_discard():
     assert long_edge not in g
     assert set(g) == {chain[0]}
     assert result.stats.derived == 0
-
-
-def test_apply_then_run_reuses_coherent_mirror():
-    """After an engine-internal apply mutates the store, a follow-up
-    incremental run on the same graph object must see the post-apply
-    rows (the mirror is restamped, not stale)."""
-    engine = SemiNaiveEngine(TRANS, engine="columnar")
-    g = Graph()
-    chain = [Triple(URI(f"n:{i}"), URI("ex:p"), URI(f"n:{i + 1}"))
-             for i in range(5)]
-    asserted = Graph(chain)
-    for t in chain:
-        g.add(t)
-    engine.run(g)
-    asserted.discard(chain[2])
-    engine.apply(g, removes=[chain[2]], asserted=asserted)
-    assert Triple(URI("n:0"), URI("ex:p"), URI("n:4")) not in g
-    # Incremental add through the (cached) mirror: must compose with the
-    # deletion, not resurrect pre-apply rows.
-    engine.run(g, delta=[chain[2]])
-    assert Triple(URI("n:0"), URI("ex:p"), URI("n:4")) in g
-    oracle = Graph(chain)
-    SemiNaiveEngine(TRANS, engine="columnar").run(oracle)
-    assert set(g) == set(oracle)
 
 
 # --- distributed DRed --------------------------------------------------------

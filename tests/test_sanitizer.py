@@ -26,6 +26,7 @@ from repro.parallel.termination import CountingTermination
 from repro.rdf.dictionary import PartitionDictionary, TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph
+from repro.rdf.runstore import RunStore
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 
@@ -216,11 +217,19 @@ def test_sanitize_enabled_resolution(monkeypatch):
     assert sanitize_enabled(None) is False
 
 
-def test_make_store_picks_store_kind():
-    assert isinstance(make_store("run", label="t"), SanitizedRunStore)
-    dense = make_store("dense", capacity=8, label="t")
+def test_make_store_picks_store_kind(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert isinstance(
+        make_store("run", sanitize=True, label="t"), SanitizedRunStore)
+    dense = make_store("dense", capacity=8, sanitize=True, label="t")
     assert isinstance(dense, SanitizedIdGraph)
     assert not isinstance(dense, SanitizedRunStore)
+    # One factory for all four corners: unsanitized stores are the plain
+    # classes, a budget implies the run store, junk is rejected once.
+    assert type(make_store(None)) is IdGraph
+    assert type(make_store(None, memory_budget_bytes=1 << 20)) is RunStore
+    with pytest.raises(ValueError, match="dense"):
+        make_store("holographic")
 
 
 def test_engine_env_gating_swaps_store(monkeypatch):
@@ -228,12 +237,12 @@ def test_engine_env_gating_swaps_store(monkeypatch):
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     eng = SemiNaiveEngine([], engine="columnar")
-    assert not isinstance(eng._make_store(0), SanitizedIdGraph)
+    assert not isinstance(eng._make_store(), SanitizedIdGraph)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert isinstance(eng._make_store(0), SanitizedIdGraph)
+    assert isinstance(eng._make_store(), SanitizedIdGraph)
     # Explicit opt-out wins over the env.
     eng_off = SemiNaiveEngine([], engine="columnar", sanitize=False)
-    assert not isinstance(eng_off._make_store(0), SanitizedIdGraph)
+    assert not isinstance(eng_off._make_store(), SanitizedIdGraph)
 
 
 def _chain_inputs():
@@ -278,7 +287,8 @@ def test_materialized_kb_accepts_sanitize_flag():
 
     tbox = Graph()
     tbox.add_spo(URI("ex:partOf"), RDF.type, OWL.TransitiveProperty)
-    kb = MaterializedKB(tbox, engine="columnar", sanitize=True)
+    kb = MaterializedKB(tbox, sanitize=True)
+    assert isinstance(kb.id_store, SanitizedIdGraph)
     kb.add([Triple(URI("ex:a"), URI("ex:partOf"), URI("ex:b")),
             Triple(URI("ex:b"), URI("ex:partOf"), URI("ex:c"))])
     assert Triple(URI("ex:a"), URI("ex:partOf"), URI("ex:c")) in kb

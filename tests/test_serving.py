@@ -109,7 +109,7 @@ class TestCaching:
             srv.query(pattern)  # warm the cache
             newcomer = Triple(u("newprof"), RDF.type, UB.FullProfessor)
             result = srv.apply(adds=[newcomer])
-            assert newcomer in result.graph
+            assert newcomer in result.added and newcomer in srv.kb
             after = srv.query(pattern)
             assert len(after) == len(before) + 1
             assert {row[X] for row in after} == \
