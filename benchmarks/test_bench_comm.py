@@ -1,12 +1,12 @@
 """Bytes-on-wire benches for the id-encoded wire protocol (DESIGN.md §7).
 
-The same lock-step schedule runs twice over identical traffic — once with
-term-level :class:`TupleBatch` messages, once with id-encoded
-:class:`EncodedBatch` messages — and three wire formats are priced on it:
+One lock-step run; every batch it ships is priced in three wire formats:
 
-* N-Triples text (the paper's shared-file scheme),
+* N-Triples text (the paper's shared-file scheme) — ``serialize_ntriples``
+  over the decoded rows,
 * pickled ``Triple`` tuples (the obvious ``mp.Queue`` baseline),
-* flat int64 rows plus once-per-peer delta dictionaries.
+* what actually travelled: flat int64 rows plus once-per-peer delta
+  dictionaries.
 
 The headline assertion is the acceptance criterion: the id-encoded format
 moves at least 5x fewer bytes than either baseline.  Results are also
@@ -21,30 +21,29 @@ from pathlib import Path
 
 from repro.parallel import InMemoryComm, ParallelReasoner
 from repro.partitioning.policies import GraphPartitioningPolicy
+from repro.rdf.ntriples import serialize_ntriples
 
 K = 4
 
 
-class _PickleMeter(InMemoryComm):
-    """InMemoryComm that additionally prices each batch as a pickled list
-    of Triple objects — what a naive ``mp.Queue`` transport would ship."""
+class _KeepingComm(InMemoryComm):
+    """InMemoryComm that keeps every batch it relayed, so the run's
+    traffic can be re-priced in the term-level formats afterwards."""
 
     def __init__(self, k):
         super().__init__(k)
-        self.pickled_bytes = 0
+        self.sent = []
 
     def send(self, batch):
-        self.pickled_bytes += len(
-            pickle.dumps(batch.triples, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        self.sent.append(batch)
         super().send(batch)
 
 
-def _run(dataset, *, encode_wire, comm):
+def _run(dataset, comm):
     reasoner = ParallelReasoner(
         dataset.ontology, k=K, approach="data",
         policy=GraphPartitioningPolicy(seed=0), strategy="forward",
-        comm=comm, encode_wire=encode_wire,
+        comm=comm,
     )
     return reasoner.materialize(dataset.data)
 
@@ -55,36 +54,27 @@ def _results_path(tmp_path: Path) -> Path:
 
 
 def test_bench_wire_format_reduction(lubm_tiny, tmp_path, benchmark):
-    plain_comm = _PickleMeter(K)
-    plain = _run(lubm_tiny, encode_wire=False, comm=plain_comm)
+    comm = _KeepingComm(K)
+    result = benchmark.pedantic(
+        _run, args=(lubm_tiny, comm), rounds=1, iterations=1)
 
-    encoded_comm = InMemoryComm(K)
-    encoded = benchmark.pedantic(
-        _run, args=(lubm_tiny,),
-        kwargs={"encode_wire": True, "comm": encoded_comm},
-        rounds=1, iterations=1,
-    )
-
-    # Identical traffic: same fixpoint, same communicated-tuple total.
-    assert encoded.graph == plain.graph
-    assert (
-        encoded.stats.total_tuples_communicated()
-        == plain.stats.total_tuples_communicated()
-    )
-
-    ntriples_bytes = plain_comm.stats.payload_bytes
-    pickled_bytes = plain_comm.pickled_bytes
-    encoded_bytes = encoded_comm.stats.payload_bytes
+    # What the same traffic would have cost as terms: each batch decoded
+    # through its sender's dictionary (which knows every id it shipped).
+    ntriples_bytes = pickled_bytes = 0
+    for batch in comm.sent:
+        triples = batch.decode(result.workers[batch.sender].dictionary)
+        ntriples_bytes += len(serialize_ntriples(triples))
+        pickled_bytes += len(
+            pickle.dumps(tuple(triples), protocol=pickle.HIGHEST_PROTOCOL))
+    encoded_bytes = comm.stats.payload_bytes
     assert encoded_bytes > 0
+    assert comm.stats.tuples == result.stats.total_tuples_communicated()
 
     results = {
         "dataset": "lubm_tiny",
         "k": K,
-        "tuples_communicated": encoded.stats.total_tuples_communicated(),
-        "batches": {
-            "ntriples": plain_comm.stats.messages,
-            "encoded": encoded_comm.stats.messages,
-        },
+        "tuples_communicated": result.stats.total_tuples_communicated(),
+        "batches": comm.stats.messages,
         "bytes_on_wire": {
             "ntriples": ntriples_bytes,
             "pickled_triples": pickled_bytes,
@@ -104,21 +94,15 @@ def test_bench_wire_format_reduction(lubm_tiny, tmp_path, benchmark):
     assert pickled_bytes >= 5 * encoded_bytes, results
 
 
-def test_bench_payload_bytes_is_constant_time(lubm_tiny):
+def test_bench_payload_bytes_is_constant_time():
     """payload_bytes() must be O(1): cost models and the async master call
-    it per relay.  Both message types cache — the second query costs a
-    field read, not a re-serialization, which this guards structurally
-    (cache hit) rather than with a flaky timing threshold."""
-    from repro.parallel.messages import EncodedBatch, TupleBatch
-    from repro.rdf import Triple, URI
+    it per relay.  The size is fixed at construction, which this guards
+    structurally rather than with a flaky timing threshold."""
+    from repro.parallel.messages import DELTA_ENTRY_OVERHEAD, ROW_BYTES, EncodedBatch
+    from repro.rdf import URI
 
-    triples = [
-        Triple(URI(f"ex:s{i}"), URI("ex:p"), URI(f"ex:o{i}")) for i in range(64)
-    ]
-    tb = TupleBatch.make(0, 1, 0, triples)
-    tb.payload_bytes()
-    assert tb._serialized is not None  # cached after first query
-    assert tb.serialize() is tb.serialize()
-
-    eb = EncodedBatch.make(0, 1, 0, [(i, 0, i + 1) for i in range(64)])
-    assert eb.payload_bytes() == eb._payload_bytes  # fixed at construction
+    fresh = URI("ex:fresh")
+    eb = EncodedBatch.make(
+        0, 1, 0, [(i, 0, i + 1) for i in range(64)], [(64, fresh)])
+    assert eb.payload_bytes() == eb._payload_bytes == (
+        64 * ROW_BYTES + DELTA_ENTRY_OVERHEAD + len(fresh.n3().encode("utf-8")))

@@ -225,7 +225,7 @@ def _wire_numbers():
     reasoner = ParallelReasoner(
         lubm.ontology, k=4, approach="data",
         policy=GraphPartitioningPolicy(seed=0), strategy="forward",
-        comm=comm, encode_wire=True, engine="columnar",
+        comm=comm,
     )
     result = reasoner.materialize(lubm.data)
     tuples = result.stats.total_tuples_communicated()

@@ -1,14 +1,9 @@
-"""Benches for the extension subsystems: hybrid partitioning, dynamic
-rebalancing, the streaming partitioner, and the materialized KB."""
-
-import pytest
+"""Benches for the extension subsystems: hybrid partitioning, the
+streaming partitioner, and the materialized KB."""
 
 from repro.owl import HorstReasoner, MaterializedKB
-from repro.parallel import ParallelReasoner
 from repro.parallel.hybrid import HybridParallelReasoner
-from repro.parallel.rebalance import RebalancingParallelReasoner
 from repro.partitioning import stream_partition
-from repro.partitioning.policies import HashPartitioningPolicy
 from repro.rdf import Graph, serialize_ntriples
 
 
@@ -28,47 +23,6 @@ def test_hybrid_equals_serial(lubm_tiny):
     result = hybrid.materialize(lubm_tiny.data)
     instance = Graph(t for t in result.graph if t not in hybrid.compiled.schema)
     assert instance == serial.graph
-
-
-def test_bench_rebalancing_run(benchmark, mdc_tiny):
-    def run():
-        return RebalancingParallelReasoner(
-            mdc_tiny.ontology, k=3, policy=HashPartitioningPolicy(),
-            imbalance_threshold=1.2,
-        ).materialize(mdc_tiny.data)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["migrations"] = len(result.migrations)
-
-
-def test_ablation_rebalancing_improves_late_round_balance(mdc_tiny):
-    """With a hash partitioning of MDC (work-skewed), migration must reduce
-    the worst-node share of late-round work relative to the static run."""
-    def late_round_imbalance(stats):
-        late = [s for r in stats.rounds[1:] for s in r]
-        if not late:
-            return 1.0
-        per_node = {}
-        for s in late:
-            per_node[s.node_id] = per_node.get(s.node_id, 0) + s.work
-        values = list(per_node.values())
-        mean = sum(values) / len(values)
-        return max(values) / mean if mean else 1.0
-
-    static = ParallelReasoner(
-        mdc_tiny.ontology, k=3, approach="data",
-        policy=HashPartitioningPolicy(), strategy="forward",
-    ).materialize(mdc_tiny.data)
-    dynamic = RebalancingParallelReasoner(
-        mdc_tiny.ontology, k=3, policy=HashPartitioningPolicy(),
-        imbalance_threshold=1.2, migration_fraction=0.5,
-    ).materialize(mdc_tiny.data)
-    # The rebalanced run must not be *more* imbalanced late in the run.
-    # (Equality can occur when the fixpoint finishes before migration can
-    # pay off — the honest boundary of dynamic balancing.)
-    assert late_round_imbalance(dynamic.stats) <= late_round_imbalance(
-        static.stats
-    ) * 1.25
 
 
 def test_bench_streaming_partition(benchmark, lubm_tiny, tmp_path):

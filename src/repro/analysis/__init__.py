@@ -51,7 +51,6 @@ from repro.analysis.sanitize import (
     SanitizerError,
     check_ledger,
     check_stripe_disjointness,
-    sanitize_enabled,
 )
 from repro.analysis.preflight import (
     PreflightError,
@@ -76,6 +75,7 @@ from repro.analysis.report import (
     load_allowlist,
     parse_allowlist,
 )
+from repro.rdf.stores import sanitize_enabled
 from repro.datalog.analysis import (
     JoinClass,
     PartitionabilityDiagnostic,

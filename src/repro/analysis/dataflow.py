@@ -203,10 +203,11 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
         ),
     ),
     StoreSpec(
-        module="repro.owl.kb",
-        cls="_TermView",
+        module="repro.rdf.stores",
+        cls="TermView",
         caches=(
-            # MaterializedKB's term views (``graph`` / ``base_graph``):
+            # The term views of MaterializedKB (``graph`` / ``base_graph``)
+            # and of a parallel run's result (``RunOutput.graph``):
             # a decoded Graph snapshot keyed on (store, store version).
             # No in-class invalidators — a write moves the store's
             # version, and ``of`` drops the snapshot on key mismatch.

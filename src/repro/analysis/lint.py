@@ -499,7 +499,6 @@ def _wire_examples() -> dict[str, object]:
         OutputMsg,
         Produced,
         Stop,
-        TupleBatch,
     )
     from repro.rdf.terms import BNode, Literal, URI, Variable
     from repro.rdf.triple import Triple
@@ -516,14 +515,15 @@ def _wire_examples() -> dict[str, object]:
         "repro.rdf.triple.Triple": triple,
         "repro.datalog.ast.Atom": atom,
         "repro.datalog.ast.Rule": rule,
-        "repro.parallel.messages.TupleBatch": TupleBatch.make(0, 1, 0, [triple]),
         "repro.parallel.messages.EncodedBatch": EncodedBatch.make(
             0, 1, 0, [(0, 1, 2)], [(2, o)]
         ),
         "repro.parallel.messages.Heartbeat": Heartbeat(0, 0, 1),
         "repro.parallel.messages.Produced": Produced(0, 0, (), 1),
         "repro.parallel.messages.OutputMsg": OutputMsg(0, 0, (triple,)),
-        "repro.parallel.messages.Deliver": Deliver(TupleBatch.make(0, 1, 0, [])),
+        # Payloads are probed under their own class (EncodedBatch compares
+        # by identity, which would mask Deliver's own round trip).
+        "repro.parallel.messages.Deliver": Deliver(None),
         "repro.parallel.messages.Adopt": Adopt(0, 1, None),
         "repro.parallel.messages.Finish": Finish(),
         "repro.parallel.messages.Stop": Stop(),

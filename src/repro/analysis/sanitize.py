@@ -23,7 +23,9 @@ store, the invariant, and the offending rows.  Enable with
 ``REPRO_SANITIZE=1`` in the environment or ``sanitize=True`` through
 :class:`~repro.owl.kb.MaterializedKB`, the parallel driver, or the worker
 config — the flag only selects the sanitized store subclasses at
-construction time, so the unsanitized hot path carries zero overhead.
+construction time (in :func:`repro.rdf.stores.make_store`, the only
+production importer of this module), so the unsanitized hot path carries
+zero overhead.
 
 Sampling policy: structures at or below ``_SMALL_ROWS`` rows are checked
 on every event (the vector ops cost microseconds there); larger ones are
@@ -39,7 +41,6 @@ checked.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -62,23 +63,6 @@ _DEFAULT_RATE = 1.0 / 16.0
 
 #: Rows probed per membership spot-check.
 _PROBE_ROWS = 64
-
-ENV_FLAG = "REPRO_SANITIZE"
-
-
-def sanitize_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the sanitizer switch: an explicit ``sanitize=`` argument
-    wins; otherwise the ``REPRO_SANITIZE`` environment variable decides
-    (so ``REPRO_SANITIZE=1 pytest ...`` needs no call-site changes)."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get(ENV_FLAG, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
 
 class SanitizerError(RuntimeError):
     """A store invariant observed broken at runtime.
@@ -597,45 +581,3 @@ def check_ledger(det: "CountingTermination") -> None:
             f"termination declared with {det.in_flight()} messages in "
             f"flight (forwarded={det.forwarded} consumed={det.consumed})",
         )
-
-
-# -- store factory -------------------------------------------------------------
-
-
-def store_kind(store: str | None, memory_budget_bytes: int | None = None) -> str:
-    """Resolve and validate a ``store=`` choice: ``None`` derives it from
-    whether a memory budget was given (a budget implies the run store)."""
-    if store is None:
-        return "run" if memory_budget_bytes is not None else "dense"
-    if store not in ("dense", "run"):
-        raise ValueError(f'store must be "dense" or "run", got {store!r}')
-    return store
-
-
-def make_store(
-    store: str | None,
-    *,
-    capacity: int = 0,
-    memory_budget_bytes: int | None = None,
-    sanitize: bool | None = None,
-    label: str = "store",
-    seed: int = 0,
-) -> "IdGraph | RunStore":
-    """The one id-store factory ("dense or run, sanitized or not") behind
-    :class:`~repro.owl.kb.MaterializedKB`, the ``SemiNaiveEngine`` mirror
-    and the id-native ``PartitionWorker``.
-
-    ``store``/``memory_budget_bytes`` resolve through :func:`store_kind`;
-    ``sanitize`` through :func:`sanitize_enabled` (``None`` defers to
-    ``REPRO_SANITIZE``).  The sanitized subclasses are selected only
-    here, so the unsanitized path carries no overhead."""
-    kind = store_kind(store, memory_budget_bytes)
-    if sanitize_enabled(sanitize):
-        if kind == "run":
-            return SanitizedRunStore(
-                memory_budget_bytes=memory_budget_bytes, label=label, seed=seed
-            )
-        return SanitizedIdGraph(capacity=capacity, label=label, seed=seed)
-    if kind == "run":
-        return RunStore(memory_budget_bytes=memory_budget_bytes)
-    return IdGraph(capacity=capacity)

@@ -46,6 +46,7 @@ from repro.datalog.compiled import compile_plan
 from repro.datalog.plan import DispatchIndex, PlanKind, build_plan
 from repro.rdf.dictionary import decode_rows, encode_rows
 from repro.rdf.graph import Graph
+from repro.rdf.stores import make_store, store_kind
 from repro.rdf.terms import Variable
 from repro.rdf.triple import Triple
 
@@ -236,9 +237,6 @@ class SemiNaiveEngine:
             engine = "compiled" if compile_rules else "generic"
         if engine not in ("generic", "compiled", "columnar"):
             raise ValueError(f"unknown engine {engine!r}")
-        # Imported lazily: the repro.analysis package imports repro.datalog.
-        from repro.analysis.sanitize import make_store, store_kind
-
         store = store_kind(store, memory_budget_bytes)
         if engine != "columnar" and (
             store == "run" or memory_budget_bytes is not None

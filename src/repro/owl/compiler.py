@@ -224,7 +224,8 @@ def _expand_class_lists(schema: Graph) -> tuple[list[Rule], dict[str, int]]:
     rules: list[Rule] = []
     counts = {"unionOf": 0, "intersectionOf": 0}
 
-    for t in schema.match(None, OWL.unionOf, None):
+    # sorted: see the binding sort in `_expand`.
+    for t in sorted(schema.match(None, OWL.unionOf, None)):
         members = read_rdf_list(schema, t.o)
         for i, member in enumerate(members):
             if member == t.s:
@@ -238,7 +239,7 @@ def _expand_class_lists(schema: Graph) -> tuple[list[Rule], dict[str, int]]:
             )
             counts["unionOf"] += 1
 
-    for t in schema.match(None, OWL.intersectionOf, None):
+    for t in sorted(schema.match(None, OWL.intersectionOf, None)):
         members = read_rdf_list(schema, t.o)
         if not members:
             continue
@@ -283,6 +284,10 @@ def _expand(template: RuleTemplate, schema: Graph) -> list[Rule]:
         bindings_list = next_list
         if not bindings_list:
             return []
+    # `match_atom` walks set-valued index leaves, whose order follows
+    # PYTHONHASHSEED; sorting makes rule order and the `.N` name suffixes
+    # (and so rule partitioning) a function of the ontology alone.
+    bindings_list.sort(key=lambda b: sorted(b.items()))
 
     out: list[Rule] = []
     residual_atoms = [

@@ -31,7 +31,7 @@ frequency of data being added is much smaller than that of queries"
 :class:`~repro.rdf.runstore.RunStore`), the asserted base as an
 :class:`~repro.rdf.idstore.IdGraph`, and the
 :class:`~repro.datalog.columnar.ColumnarEngine` over them — the shape the
-id-native :class:`~repro.parallel.worker.PartitionWorker` already has.
+partition worker (:class:`~repro.parallel.worker.PartitionWorker`) has.
 Terms exist only at the boundary: input triples are encoded once on the
 way in; :attr:`~MaterializedKB.graph`, :attr:`~MaterializedKB.base_graph`,
 :meth:`~MaterializedKB.match`, query bindings and
@@ -60,6 +60,7 @@ from repro.rdf.dictionary import (
 from repro.rdf.graph import Graph
 from repro.rdf.idquery import IdIndex, join_pattern
 from repro.rdf.idstore import IdGraph
+from repro.rdf.stores import TermView, make_store
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 
@@ -84,26 +85,6 @@ def _spo(triples: Iterable[Triple]) -> Iterator[tuple[Term, Term, Term]]:
         if not isinstance(t, Triple):
             raise TypeError(f"expected Triple, got {type(t).__name__}")
         yield t.s, t.p, t.o
-
-
-class _TermView:
-    """A decoded :class:`Graph` snapshot of one id store, cached against
-    the store's version: reused while the store is unchanged, dropped —
-    not patched — once the version moves (or the store is replaced)."""
-
-    def __init__(self) -> None:
-        #: (store, store version) the snapshot was decoded at; compared
-        #: against the live store on every read (the staleness guard).
-        self._key: tuple[IdStore, int] | None = None
-        self._graph: Graph | None = None
-
-    def of(self, dictionary: TermDictionary, store: IdStore) -> Graph:
-        key = self._key
-        if (self._graph is None or key is None or key[0] is not store
-                or key[1] != store.version):
-            self._graph = Graph(decode_rows(dictionary, *store.columns()))
-            self._key = (store, store.version)
-        return self._graph
 
 
 class MaterializedKB:
@@ -154,9 +135,6 @@ class MaterializedKB:
         )
         self._dictionary = TermDictionary()
         self._columnar = ColumnarEngine(self.compiled.rules, self._dictionary)
-        # Imported lazily: the repro.analysis package imports repro.datalog.
-        from repro.analysis.sanitize import make_store
-
         self._new_store = partial(
             make_store, store, memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize, label="kb-closure")
@@ -168,8 +146,8 @@ class MaterializedKB:
         self._last_load_stats = EngineStats()
         self._last_parallel_run = None
         self._index = IdIndex(self)
-        self._closure_view = _TermView()
-        self._base_view = _TermView()
+        self._closure_view = TermView()
+        self._base_view = TermView()
 
     # Compatibility: the frozen benchmarks/harness/workloads.py:107 reads
     # `kb._engine._mirror`; the next benchmark PR reads `kb.id_store`, delete then.
@@ -200,8 +178,6 @@ class MaterializedKB:
         graph: Graph,
         parallel_k: int | None = None,
         approach: Literal["data", "rule"] = "data",
-        engine: str | None = None,
-        encode_wire: bool = False,
         backend: Literal["bsp", "async"] = "bsp",
     ) -> None:
         """Initial load of a whole graph.
@@ -211,13 +187,17 @@ class MaterializedKB:
         replaces this KB's contents (so call it on an empty KB — it raises
         otherwise, instead of merging two closure histories).
 
-        ``engine``/``encode_wire``/``backend`` select the cluster runtime
-        for the parallel path (``engine="columnar", encode_wire=True``
-        makes the workers id-native; ``backend="async"`` runs the
-        supervised round-free runtime instead of BSP rounds).  The run's
-        result — including its still-resident workers — is kept as
-        :attr:`last_parallel_run`, which is how the serving tier
-        (:mod:`repro.serving`) adopts the cluster it serves from.
+        ``backend`` selects the cluster runtime for the parallel path
+        (``"async"`` runs the supervised round-free runtime instead of
+        BSP rounds).  The run's result — including its still-resident
+        workers — is kept as :attr:`last_parallel_run`, which is how the
+        serving tier (:mod:`repro.serving`) adopts the cluster it serves
+        from.  The closure arrives as id rows and stays id rows: the
+        run's ids are mapped into this KB's own dictionary (one
+        ``encode_many`` over the distinct terms), never decoded row by
+        row.  The run's dictionary is not adopted — the resident workers'
+        id stripes start where it ends, so it must not grow, and this
+        KB's keeps minting.
         """
         if parallel_k is None:
             self._load(encode_rows(self._dictionary, graph.spo_items()))
@@ -232,8 +212,7 @@ class MaterializedKB:
         # Built from the saturated TBox, so the parallel reasoner compiles
         # an identical rule set (saturation is idempotent).
         reasoner = ParallelReasoner(self.compiled.schema, k=parallel_k,
-                                    approach=approach, engine=engine,
-                                    encode_wire=encode_wire)
+                                    approach=approach)
         if backend == "async":
             result = reasoner.materialize_async(graph)
             engine_stats = EngineStats()
@@ -247,10 +226,15 @@ class MaterializedKB:
                 f'backend must be "bsp" or "async", got {backend!r}')
         self._last_parallel_run = result
         self._base.add_rows(*encode_rows(self._dictionary, graph.spo_items()))
-        schema = reasoner.compiled.schema
-        self._store.add_rows(*encode_rows(self._dictionary, (
-            t for t in result.graph.spo_items()
-            if not schema.contains_spo(*t))))
+        remap = self._dictionary.encode_many(result.dictionary.terms())
+        s, p, o = (remap[col] for col in result.store.columns())
+        # The run's union carries the replicated schema triples; the KB
+        # holds the instance closure only.
+        schema_rows = IdGraph()
+        schema_rows.add_rows(*lookup_rows(
+            self._dictionary, reasoner.compiled.schema.spo_items()))
+        keep = ~schema_rows.contains_rows(s, p, o)
+        self._store.add_rows(s[keep], p[keep], o[keep])
         # The cluster's engine work counts toward this KB's totals just
         # like a serial load's would — merged, not discarded.
         self._stats.merge(engine_stats)

@@ -2,15 +2,18 @@
 
 Layers, bottom up:
 
-* :mod:`repro.parallel.messages` — the tuple batches nodes exchange.
+* :mod:`repro.parallel.messages` — the id-encoded batches nodes exchange
+  (:class:`EncodedBatch`: int64 rows plus a delta-dictionary).
 * :mod:`repro.parallel.comm` — communication backends behind one MPI-ish
   interface: in-memory mailboxes and the paper's shared-file scheme; both
   account bytes and message counts for the cost models.
 * :mod:`repro.parallel.routing` — "send any newly generated tuples to
   other processors as necessary": owner-table routing (data partitioning),
   body-atom-match routing (rule partitioning), broadcast (ablation).
-* :mod:`repro.parallel.worker` — one partition's loop: local fixpoint,
-  route fresh tuples, ingest incoming tuples.
+* :mod:`repro.parallel.worker` — one partition's loop over its id store:
+  local fixpoint, route fresh rows, ingest incoming rows.
+* :mod:`repro.parallel.aggregate` — the final aggregation: worker rows
+  into one ``(dictionary, store)``, terms decoded only on read.
 * :mod:`repro.parallel.driver` — the synchronous-rounds master
   (:class:`ParallelReasoner`): partition, scatter, iterate rounds to global
   termination, aggregate.  Runs workers in-process.
@@ -25,9 +28,8 @@ Layers, bottom up:
   oracle for the async backend).
 * :mod:`repro.parallel.termination` — Safra-style sent/received counting
   for barrier-free global-quiescence detection.
-* :mod:`repro.parallel.async_backend` — the round-free executor over the
-  id-encoded wire protocol (:class:`EncodedBatch`): workers reason over
-  batches as they arrive, in-process (with controllable delivery order)
+* :mod:`repro.parallel.async_backend` — the round-free executor: workers
+  reason over batches as they arrive, in-process (with controllable delivery order)
   or across real processes.
 * :mod:`repro.parallel.supervisor` — worker liveness, typed
   :class:`WorkerFailure` diagnosis of crashes/hangs, and the
@@ -38,7 +40,7 @@ Layers, bottom up:
   multiprocess one.
 """
 
-from repro.parallel.messages import EncodedBatch, TupleBatch
+from repro.parallel.messages import EncodedBatch
 from repro.parallel.comm import ChannelPool, CommBackend, FileComm, InMemoryComm
 from repro.parallel.routing import (
     BroadcastRouter,
@@ -52,7 +54,6 @@ from repro.parallel.costmodel import CostModel
 from repro.parallel.simulated import SimulatedCluster, SimulatedRun
 from repro.parallel.stats import NodeRoundStats, RunStats
 from repro.parallel.hybrid import HybridParallelReasoner
-from repro.parallel.rebalance import RebalancingParallelReasoner
 from repro.parallel.query import DistributedQueryEngine, DistributedQueryStats
 from repro.parallel.stats import AsyncRunStats
 from repro.parallel.termination import CountingTermination
@@ -73,7 +74,6 @@ from repro.parallel.supervisor import (
 from repro.parallel.faults import ChannelFault, FaultPlan
 
 __all__ = [
-    "TupleBatch",
     "EncodedBatch",
     "AsyncRunStats",
     "AsyncRunResult",
@@ -107,7 +107,6 @@ __all__ = [
     "NodeRoundStats",
     "RunStats",
     "HybridParallelReasoner",
-    "RebalancingParallelReasoner",
     "DistributedQueryEngine",
     "DistributedQueryStats",
 ]

@@ -52,10 +52,11 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datalog.ast import Rule
+from repro.parallel.aggregate import RunOutput, encode_outputs, gather_rows
 from repro.parallel.comm import ChannelPool
 from repro.parallel.faults import FaultPlan
 from repro.parallel.messages import (
@@ -79,9 +80,15 @@ from repro.parallel.supervisor import (
 )
 from repro.parallel.termination import CountingTermination
 from repro.parallel.worker import PartitionWorker
-from repro.rdf.dictionary import PartitionDictionary, TermDictionary
+from repro.rdf.dictionary import (
+    PartitionDictionary,
+    TermDictionary,
+    lookup_rows,
+)
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Term
+from repro.rdf.idstore import IdGraph
+from repro.rdf.stores import sanitize_enabled
+from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 
 
@@ -102,8 +109,6 @@ def build_base_dictionary(
             enc(t.s)
             enc(t.p)
             enc(t.o)
-    from repro.rdf.terms import Variable
-
     for r in rules:
         for atom in (*r.body, r.head):
             for term in atom:
@@ -135,20 +140,24 @@ def _make_router(
     return RulePartitionRouter(rule_sets or [])
 
 
-@dataclass
-class AsyncRunResult:
-    """Output of an asynchronous run: the unioned KB plus wire accounting."""
+class AsyncRunResult(RunOutput):
+    """Output of an asynchronous run: the unioned KB (id rows, ``graph``
+    decoded on first read — see :class:`~repro.parallel.aggregate.
+    RunOutput`) plus wire accounting."""
 
-    graph: Graph
-    stats: AsyncRunStats
-    #: Final sent/consumed counters (exposed for the termination tests).
-    forwarded: list[int]
-    consumed: list[int]
-    #: The partition workers, still resident after an in-process run (the
-    #: serving tier and the id-native distributed query engine answer
-    #: straight from their stores).  Empty for multiprocess runs, whose
-    #: workers died with their host processes.
-    workers: list[PartitionWorker] = field(default_factory=list)
+    def __init__(
+        self,
+        dictionary: TermDictionary,
+        store: IdGraph,
+        stats: AsyncRunStats,
+        det: CountingTermination,
+        workers: Sequence[PartitionWorker] = (),
+    ) -> None:
+        super().__init__(None, dictionary, store, workers)
+        self.stats = stats
+        #: Final sent/consumed counters (exposed for the termination tests).
+        self.forwarded = list(det.forwarded)
+        self.consumed = list(det.consumed)
 
 
 # -- in-process executor ------------------------------------------------------
@@ -160,6 +169,7 @@ def run_async_inprocess(
     router_kind: str,
     owner_table: dict | None = None,
     rule_sets: Sequence[Sequence[Rule]] | None = None,
+    schema_graphs: Sequence[Graph] = (),
     delivery: str = "fifo",
     seed: int = 0,
     max_messages: int = 1_000_000,
@@ -167,12 +177,14 @@ def run_async_inprocess(
     faults: FaultPlan | None = None,
     degrade: str = "abort",
     max_retries: int = 2,
-    engine: str | None = None,
     store: str | None = None,
     memory_budget_bytes: int | None = None,
     sanitize: bool | None = None,
 ) -> AsyncRunResult:
     """Round-free run with in-process workers and controllable delivery.
+
+    ``schema_graphs`` are the replicated schema triples: no worker holds
+    them, they seed the base dictionary and join the result's rows.
 
     ``seed_rule_terms=True`` (default) puts the rule base's ground terms
     into the base dictionary, so delta messages carry only runtime-fresh
@@ -210,6 +222,7 @@ def run_async_inprocess(
     plan = faults or FaultPlan()
     base = build_base_dictionary(
         partitions,
+        extra=schema_graphs,
         rules=_all_rules(rules_per_node, rule_sets) if seed_rule_terms else (),
     )
     router = _make_router(router_kind, owner_table, k, rule_sets)
@@ -224,7 +237,6 @@ def run_async_inprocess(
             rules=rules_per_node[i],
             router=router,
             dictionary=PartitionDictionary(base, i, stripes),
-            engine=engine,
             store=store,
             memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize,
@@ -300,7 +312,6 @@ def run_async_inprocess(
                 base, node + epoch[node] * k, stripes
             ),
             epoch=epoch[node],
-            engine=engine,
             store=store,
             memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize,
@@ -382,16 +393,8 @@ def run_async_inprocess(
         _emit(result.outgoing)
 
     _post_run_checks(det, workers, sanitize)
-    union = Graph()
-    for w in workers:
-        union.update(iter(w.output_graph()))
-    return AsyncRunResult(
-        graph=union,
-        stats=stats,
-        forwarded=list(det.forwarded),
-        consumed=list(det.consumed),
-        workers=list(workers),
-    )
+    dictionary, rows = gather_rows(workers, *schema_graphs)
+    return AsyncRunResult(dictionary, rows, stats, det, workers)
 
 
 def _post_run_checks(det, workers, sanitize) -> None:
@@ -399,18 +402,12 @@ def _post_run_checks(det, workers, sanitize) -> None:
     counting ledger must conserve (forwarded == consumed everywhere) and
     the workers' dictionary stripes must be pairwise disjoint — an id
     minted by two incarnations would silently merge unrelated terms."""
-    from repro.analysis.sanitize import (
-        check_ledger,
-        check_stripe_disjointness,
-        sanitize_enabled,
-    )
-
     if not sanitize_enabled(sanitize):
         return
+    from repro.analysis.sanitize import check_ledger, check_stripe_disjointness
+
     check_ledger(det)
-    check_stripe_disjointness(
-        [w.dictionary for w in workers if w.dictionary is not None]
-    )
+    check_stripe_disjointness([w.dictionary for w in workers])
 
 
 # -- incremental (DRed) executor ----------------------------------------------
@@ -424,6 +421,7 @@ def run_apply_inprocess(
     removes: Sequence[Triple] = (),
     owner_table: dict | None = None,
     rule_sets: Sequence[Sequence[Rule]] | None = None,
+    schema_graphs: Sequence[Graph] = (),
     delivery: str = "fifo",
     seed: int = 0,
     max_messages: int = 1_000_000,
@@ -448,9 +446,8 @@ def run_apply_inprocess(
     4. the additions are broadcast and drained as an ordinary
        incremental load.
 
-    Workers are id-native (``engine="columnar"``) throughout, reusing
-    the per-node dictionary stripes: removal rows and their delta
-    dictionaries travel the same wire as derivations.  Additions are
+    Removal rows and their delta dictionaries travel the same wire as
+    derivations, in the same per-node dictionary stripes.  Additions are
     broadcast rather than owner-routed — with rule partitioning every
     node holds the full data set, and with data partitioning the extra
     replicas only cost memory, never correctness (receiver dedup).
@@ -467,7 +464,7 @@ def run_apply_inprocess(
     removes = list(removes)
     base = build_base_dictionary(
         partitions,
-        extra=[Graph(adds), Graph(removes)],
+        extra=[Graph(adds), Graph(removes), *schema_graphs],
         rules=_all_rules(rules_per_node, rule_sets),
     )
     router = _make_router(router_kind, owner_table, k, rule_sets)
@@ -478,7 +475,6 @@ def run_apply_inprocess(
             rules=rules_per_node[i],
             router=router,
             dictionary=PartitionDictionary(base, i, k),
-            engine="columnar",
             store=store,
             memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize,
@@ -515,16 +511,6 @@ def run_apply_inprocess(
             det.record_delivery(batch.dest)
             _emit(result.outgoing)
 
-    def _encode(triples: Sequence[Triple]):
-        import numpy as np
-
-        enc = base.encode
-        return (
-            np.asarray([enc(t.s) for t in triples], dtype=np.int64),
-            np.asarray([enc(t.p) for t in triples], dtype=np.int64),
-            np.asarray([enc(t.o) for t in triples], dtype=np.int64),
-        )
-
     # Initial closure.
     for w in workers:
         _emit(w.bootstrap().outgoing)
@@ -534,7 +520,7 @@ def run_apply_inprocess(
     # Overdeletion: broadcast the retractions, drain to quiescence,
     # then finalize every node and drain the restoration traffic.
     if removes:
-        cols = _encode(removes)
+        cols = lookup_rows(base, removes)
         _emit([
             RemovalBatch.from_columns(-1, dest, 0, cols, retract_base=True)
             for dest in range(k)
@@ -546,7 +532,7 @@ def run_apply_inprocess(
 
     # Additions: an ordinary incremental load.
     if adds:
-        cols = _encode(adds)
+        cols = lookup_rows(base, adds)
         _emit([
             EncodedBatch(-1, dest, 0, cols[0], cols[1], cols[2])
             for dest in range(k)
@@ -554,16 +540,8 @@ def run_apply_inprocess(
         _drain()
 
     _post_run_checks(det, workers, sanitize)
-    union = Graph()
-    for w in workers:
-        union.update(iter(w.output_graph()))
-    return AsyncRunResult(
-        graph=union,
-        stats=stats,
-        forwarded=list(det.forwarded),
-        consumed=list(det.consumed),
-        workers=list(workers),
-    )
+    dictionary, rows = gather_rows(workers, *schema_graphs)
+    return AsyncRunResult(dictionary, rows, stats, det, workers)
 
 
 # -- multiprocess executor ----------------------------------------------------
@@ -584,10 +562,7 @@ class _AsyncNodeConfig:
     owner_table: dict | None
     rule_sets: list[list[Rule]] | None
     base_terms: list[Term]
-    #: Execution-layer choice forwarded to every hosted worker
-    #: ("columnar" makes adopted incarnations id-native too).
-    engine: str | None = None
-    #: Columnar store choice ("dense" / "run") and per-worker resident
+    #: Store choice ("dense" / "run") and per-worker resident
     #: cap — adopted incarnations rebuild with the same budget.
     store: str | None = None
     memory_budget_bytes: int | None = None
@@ -607,7 +582,6 @@ def _make_logical_worker(cfg: _AsyncNodeConfig, epoch: int) -> PartitionWorker:
             base, cfg.node_id + epoch * cfg.k, cfg.stripes
         ),
         epoch=epoch,
-        engine=cfg.engine,
         store=cfg.store,
         memory_budget_bytes=cfg.memory_budget_bytes,
         sanitize=cfg.sanitize,
@@ -684,6 +658,7 @@ def run_multiprocess_async(
     router_kind: str,
     owner_table: dict | None = None,
     rule_sets: Sequence[Sequence[Rule]] | None = None,
+    schema_graphs: Sequence[Graph] = (),
     max_messages: int = 1_000_000,
     start_method: str | None = None,
     idle_timeout: float = 120.0,
@@ -691,14 +666,14 @@ def run_multiprocess_async(
     degrade: str = "abort",
     max_retries: int = 2,
     supervision: SupervisionPolicy | None = None,
-    with_stats: bool = False,
-    engine: str | None = None,
     store: str | None = None,
     memory_budget_bytes: int | None = None,
     sanitize: bool | None = None,
-):
-    """Round-free execution across real processes; returns the unioned KB
-    (or the full :class:`AsyncRunResult` with ``with_stats=True``).
+) -> AsyncRunResult:
+    """Round-free execution across real processes.  The workers ship
+    their outputs as term triples (``OutputMsg``); the master encodes
+    them, with the ``schema_graphs``, into the same ``(dictionary,
+    store)`` result the in-process executors gather.
 
     Same configuration surface as
     :func:`repro.parallel.mp_backend.run_multiprocess` (the lock-step
@@ -725,6 +700,7 @@ def run_multiprocess_async(
     )
     base = build_base_dictionary(
         partitions,
+        extra=schema_graphs,
         rules=_all_rules(rules_per_node, rule_sets) if seed_rule_terms else (),
     )
     base_terms = base.terms()
@@ -746,7 +722,6 @@ def run_multiprocess_async(
             owner_table=dict(owner_table) if owner_table else None,
             rule_sets=[list(rs) for rs in rule_sets] if rule_sets else None,
             base_terms=base_terms,
-            engine=engine,
             store=store,
             memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize,
@@ -849,16 +824,7 @@ def run_multiprocess_async(
 
         for p in sup.live_process_indexes():
             inboxes[p].put(Stop())
-        union = Graph()
-        for triples in outputs.values():
-            union.update(triples)
-        if with_stats:
-            return AsyncRunResult(
-                graph=union,
-                stats=stats,
-                forwarded=list(det.forwarded),
-                consumed=list(det.consumed),
-            )
-        return union
+        rows = encode_outputs(base, outputs.values(), *schema_graphs)
+        return AsyncRunResult(base, rows, stats, det)
     finally:
         sup.shutdown()

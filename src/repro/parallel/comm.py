@@ -1,18 +1,17 @@
 """Communication backends.
 
 Both backends implement the same minimal point-to-point interface —
-``send`` a :class:`TupleBatch`, ``recv_all`` pending batches for a node —
-the shape of the mpi4py ``send``/``recv`` object API, so a real MPI backend
-would drop in without touching the driver.
+``send`` a batch, ``recv_all`` pending batches for a node — the shape of
+the mpi4py ``send``/``recv`` object API, so a real MPI backend would drop
+in without touching the driver.
 
 * :class:`InMemoryComm` — per-node mailboxes (deques).  Used by the
   in-process driver and the simulated cluster; accounts *would-be* payload
   bytes per (sender, dest) pair for the cost models.
 * :class:`FileComm` — the paper's actual mechanism ("the inter-partition
   communication is through the use of a shared file system"): each batch is
-  one N-Triples file in a spool directory, named so receivers can discover
-  their pending messages; files are deleted on receipt.  Accounts real
-  bytes written/read.
+  one pickled file in a spool directory, named so receivers can discover
+  their pending messages; files are deleted on receipt.
 
 :class:`ChannelPool` is the in-process async executor's transport: one
 FIFO deque per (sender, dest) channel with a pluggable cross-channel
@@ -25,23 +24,22 @@ FIFO-per-channel invariant the delta-dictionary protocol requires.
 from __future__ import annotations
 
 import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from repro.parallel.messages import Message, TupleBatch
-from repro.rdf.ntriples import parse_ntriples
+from repro.parallel.messages import Message
 
 
 @dataclass
 class CommStats:
     """Traffic accounting, aggregated per node pair and per node.
 
-    Works for any :class:`~repro.parallel.messages.Message` — term-level
-    :class:`TupleBatch` and id-encoded
-    :class:`~repro.parallel.messages.EncodedBatch` alike; ``payload_bytes``
-    reflects whichever wire format actually traveled.
+    Works for any :class:`~repro.parallel.messages.Message`;
+    ``payload_bytes`` is the batch's own wire-size accounting (24 B per
+    id row plus its delta-dictionary entries).
     """
 
     messages: int = 0
@@ -78,8 +76,9 @@ class CommBackend(Protocol):
 class InMemoryComm:
     """Mailbox transport for in-process runs.
 
+    >>> from repro.parallel.messages import EncodedBatch
     >>> comm = InMemoryComm(k=2)
-    >>> comm.send(TupleBatch.make(0, 1, 0, []))
+    >>> comm.send(EncodedBatch.make(0, 1, 0, []))
     >>> len(comm.recv_all(1))
     1
     >>> comm.pending()
@@ -122,8 +121,9 @@ class ChannelPool:
     the supervisor marks destinations dead/frozen/held, and those
     channels simply stop delivering while remaining pending.
 
+    >>> from repro.parallel.messages import EncodedBatch
     >>> pool = ChannelPool("fifo")
-    >>> pool.emit(TupleBatch.make(0, 1, 0, []))
+    >>> pool.emit(EncodedBatch.make(0, 1, 0, []))
     >>> pool.in_transit
     1
     >>> pool.pop_next() is not None
@@ -203,11 +203,15 @@ class ChannelPool:
 class FileComm:
     """Shared-filesystem transport (the paper's mechanism).
 
-    Spool layout: ``<root>/r<round>_s<sender>_d<dest>_<seq>.nt``.  A batch
-    is visible once fully written (written to a ``.tmp`` name and renamed,
-    the usual atomic-publish idiom).  ``recv_all`` claims and deletes a
-    node's files in name order, so repeated delivery is impossible even
-    with concurrent receivers on a POSIX filesystem.
+    Spool layout: ``<root>/r<round>_s<sender>_d<dest>_<seq>.pkl``, one
+    pickled :class:`~repro.parallel.messages.Message` per file (so the
+    delta-dictionary of an id-encoded batch travels with its rows).  A
+    batch is visible once fully written (written to a ``.tmp`` name and
+    renamed, the usual atomic-publish idiom).  ``recv_all`` claims and
+    deletes a node's files in name order, so repeated delivery is
+    impossible even with concurrent receivers on a POSIX filesystem.  The
+    spool holds only what this program wrote — point ``root`` at a
+    directory nobody else can write to, since reading unpickles.
     """
 
     def __init__(self, k: int, root: str | os.PathLike) -> None:
@@ -219,37 +223,29 @@ class FileComm:
         self.stats = CommStats()
         self._seq = 0
 
-    def send(self, batch: TupleBatch) -> None:
-        if not isinstance(batch, TupleBatch):
-            raise TypeError(
-                "FileComm speaks the N-Triples spool format; id-encoded "
-                "batches belong to the async backend's queues"
-            )
+    def send(self, batch: Message) -> None:
         if not 0 <= batch.dest < self.k:
             raise ValueError(f"destination {batch.dest} outside [0, {self.k})")
         self.stats.record(batch)
         self._seq += 1
-        name = f"r{batch.round_no:06d}_s{batch.sender:04d}_d{batch.dest:04d}_{self._seq:08d}.nt"
+        name = f"r{batch.round_no:06d}_s{batch.sender:04d}_d{batch.dest:04d}_{self._seq:08d}.pkl"
         tmp = self.root / (name + ".tmp")
-        tmp.write_text(batch.serialize(), encoding="utf-8")
+        tmp.write_bytes(pickle.dumps(batch))
         tmp.rename(self.root / name)
 
-    def recv_all(self, node_id: int) -> list[TupleBatch]:
+    def recv_all(self, node_id: int) -> list[Message]:
         marker = f"_d{node_id:04d}_"
-        batches: list[TupleBatch] = []
-        for path in sorted(self.root.glob("*.nt")):
+        batches: list[Message] = []
+        for path in sorted(self.root.glob("*.pkl")):
             if marker not in path.name:
                 continue
-            text = path.read_text(encoding="utf-8")
-            parts = path.stem.split("_")
-            round_no = int(parts[0][1:])
-            sender = int(parts[1][1:])
-            triples = tuple(parse_ntriples(text))
-            batches.append(
-                TupleBatch(sender=sender, dest=node_id, round_no=round_no, triples=triples)
-            )
+            try:
+                batches.append(pickle.loads(path.read_bytes()))
+            except (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError, IndexError) as exc:
+                raise ValueError(f"corrupt spool file {path}") from exc
             path.unlink()
         return batches
 
     def pending(self) -> int:
-        return sum(1 for _ in self.root.glob("*.nt"))
+        return sum(1 for _ in self.root.glob("*.pkl"))

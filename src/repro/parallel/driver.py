@@ -24,60 +24,123 @@ partitioning is per-node work plus the final aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from repro.datalog.analysis import check_data_partitionable, predicate_counts
 from repro.datalog.engine import EngineStats
 from repro.owl.compiler import CompiledRuleSet, compile_ontology
 from repro.owl.reasoner import split_schema
+from repro.parallel.aggregate import RunOutput, gather_rows
+from repro.parallel.async_backend import (
+    AsyncRunResult,
+    build_base_dictionary,
+    run_apply_inprocess,
+    run_async_inprocess,
+    run_multiprocess_async,
+)
 from repro.parallel.comm import CommBackend, InMemoryComm
 from repro.parallel.routing import DataPartitionRouter, Router, RulePartitionRouter
 from repro.parallel.stats import NodeRoundStats, RunStats
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.parallel.worker import PartitionWorker, RoundResult, Strategy
+from repro.parallel.worker import PartitionWorker, Strategy
 from repro.partitioning.base import DataPartitioningResult, RulePartitioningResult
-from repro.partitioning.data_generic import partition_data
+from repro.partitioning.data_generic import default_vocabulary, partition_data
 from repro.partitioning.policies import GraphPartitioningPolicy, PartitioningPolicy
-from repro.partitioning.rulepart import partition_rules
+from repro.partitioning.rulepart import graph_workload_estimator, partition_rules
+from repro.rdf.dictionary import PartitionDictionary, TermDictionary
 from repro.rdf.graph import Graph
+from repro.rdf.idstore import IdGraph
 from repro.util.timing import Stopwatch
 
 Approach = Literal["data", "rule"]
 
 
-@dataclass
-class ParallelRunResult:
-    """Everything a run produces: the materialized KB, the paper's metrics
+class ParallelRunResult(RunOutput):
+    """Everything a run produces: the materialized KB (id rows, with
+    ``graph`` / ``node_outputs`` as lazily decoded views — see
+    :class:`~repro.parallel.aggregate.RunOutput`), the paper's metrics
     inputs, and the raw per-round measurements."""
 
-    graph: Graph
-    stats: RunStats
-    approach: Approach
-    #: Per-node final output graphs (for the OR metric).
-    node_outputs: list[Graph] = field(default_factory=list)
-    data_partitioning: DataPartitioningResult | None = None
-    rule_partitioning: RulePartitioningResult | None = None
-    #: Cluster-wide engine counters: the sum of every worker's per-round
-    #: fixpoint stats, so a parallel load reports the same six-field
-    #: accounting a serial :class:`~repro.datalog.engine.SemiNaiveEngine`
-    #: run would (the backward bootstrap contributes only to the
-    #: per-round ``work`` scalar in :attr:`stats`, not here).
-    engine_stats: EngineStats = field(default_factory=EngineStats)
-    #: The partition workers, still resident after the run.  The id-native
-    #: distributed query engine
-    #: (:meth:`~repro.parallel.query.DistributedQueryEngine.from_workers`)
-    #: and the serving tier (:mod:`repro.serving`) answer straight from
-    #: their columnar stores instead of the aggregated union.
-    workers: list[PartitionWorker] = field(default_factory=list)
+    def __init__(
+        self,
+        graph: Graph | None,
+        stats: RunStats,
+        approach: Approach,
+        data_partitioning: DataPartitioningResult | None = None,
+        rule_partitioning: RulePartitioningResult | None = None,
+        engine_stats: EngineStats | None = None,
+        workers: Sequence[PartitionWorker] = (),
+        dictionary: TermDictionary | None = None,
+        store: IdGraph | None = None,
+    ) -> None:
+        super().__init__(graph, dictionary, store, workers)
+        self.stats = stats
+        self.approach: Approach = approach
+        self.data_partitioning = data_partitioning
+        self.rule_partitioning = rule_partitioning
+        #: Cluster-wide engine counters: the sum of every worker's per-round
+        #: fixpoint stats, so a parallel load reports the same six-field
+        #: accounting a serial :class:`~repro.datalog.columnar.ColumnarEngine`
+        #: run would (the backward bootstrap contributes only to the
+        #: per-round ``work`` scalar in :attr:`stats`, not here).
+        self.engine_stats = (
+            engine_stats if engine_stats is not None else EngineStats())
 
     @property
     def k(self) -> int:
         return self.stats.k
 
 
+def run_rounds(
+    workers: Sequence[PartitionWorker], comm: CommBackend, max_rounds: int
+) -> list[list[NodeRoundStats]]:
+    """The BSP loop of Algorithm 3: bootstrap every worker, then exchange
+    and step in lock-step until a round sends nothing (the paper's
+    termination condition).  Returns ``rounds[r][i]``, node i's
+    measurements in round r."""
+    rounds: list[list[NodeRoundStats]] = []
+    #: Bytes addressed to each node by the previous round — what it
+    #: consumes at the start of this one (exact: same process).
+    inbound: dict[int, int] = {}
+    results = [w.bootstrap() for w in workers]
+    for _ in range(max_rounds):
+        rounds.append([
+            NodeRoundStats(
+                node_id=r.node_id,
+                round_no=r.round_no,
+                reasoning_time=r.reasoning_time,
+                work=r.work,
+                derived=r.derived,
+                received_tuples=r.received,
+                sent_tuples=r.sent_tuples,
+                sent_bytes=sum(b.payload_bytes() for b in r.outgoing),
+                received_bytes=inbound.get(r.node_id, 0),
+                sent_messages=len(r.outgoing),
+            )
+            for r in results
+        ])
+        inbound = {}
+        for r in results:
+            for batch in r.outgoing:
+                comm.send(batch)
+                inbound[batch.dest] = (
+                    inbound.get(batch.dest, 0) + batch.payload_bytes())
+        if comm.pending() == 0:
+            return rounds
+        results = [w.step(comm.recv_all(w.node_id)) for w in workers]
+    raise RuntimeError(
+        f"no termination after {max_rounds} rounds — "
+        "routing is likely re-sending tuples in a cycle"
+    )
+
+
 class ParallelReasoner:
     """Parallel OWL-Horst materializer (the paper's full system).
+
+    Every partition is one :class:`~repro.parallel.worker.PartitionWorker`
+    — columnar engine over an id store, id-encoded wire — so ``engine`` and
+    ``encode_wire`` select nothing: they are accepted only at
+    ``None``/``"columnar"`` and ``True``.
 
     >>> from repro.rdf import Graph, URI, Triple
     >>> from repro.owl.vocabulary import RDF, RDFS
@@ -100,11 +163,10 @@ class ParallelReasoner:
         weight_rule_edges: bool = True,
         max_rounds: int = 10_000,
         seed: int = 0,
-        compile_rules: bool = True,
         engine: str | None = None,
         store: str | None = None,
         memory_budget_bytes: int | None = None,
-        encode_wire: bool = False,
+        encode_wire: bool = True,
         degrade: str = "abort",
         max_retries: int = 2,
         supervision: "SupervisionPolicy | None" = None,
@@ -114,6 +176,12 @@ class ParallelReasoner:
             raise ValueError(f"k must be positive, got {k}")
         if approach not in ("data", "rule"):
             raise ValueError(f"unknown approach {approach!r}")
+        if engine not in (None, "columnar") or encode_wire is not True:
+            raise ValueError(
+                f"partition workers run the columnar engine over the id "
+                f"wire only (PR 21 removed the term-mode worker), got "
+                f"engine={engine!r}, encode_wire={encode_wire!r}; the "
+                "term-level engines live in SemiNaiveEngine / HorstReasoner")
         self.k = k
         self.approach: Approach = approach
         # Data partitioning demands single-join rules; the compiler's sameAs
@@ -130,16 +198,7 @@ class ParallelReasoner:
         self.weight_rule_edges = weight_rule_edges
         self.max_rounds = max_rounds
         self.seed = seed
-        #: Kernel selection for every partition's engine (see
-        #: :class:`~repro.datalog.engine.SemiNaiveEngine`).
-        self.compile_rules = compile_rules
-        #: Execution layer for every partition: "generic" / "compiled" /
-        #: "columnar" (``None`` derives from ``compile_rules``).  With
-        #: ``encode_wire=True``, ``"columnar"`` switches the workers to the
-        #: fully id-native path — received rows enter the columnar store
-        #: and are reasoned over and routed without materializing terms.
-        self.engine = engine
-        #: Columnar store per worker: "dense" (IdGraph) or "run" (the
+        #: Id store per worker: "dense" (IdGraph) or "run" (the
         #: memory-budgeted compressed RunStore); ``memory_budget_bytes``
         #: is the *per-worker* resident cap the run store honors.
         self.store = store
@@ -148,12 +207,6 @@ class ParallelReasoner:
         #: (:mod:`repro.analysis.sanitize`); ``None`` defers to the
         #: ``REPRO_SANITIZE`` environment variable.
         self.sanitize = sanitize
-        #: Speak the id-encoded wire protocol: workers exchange
-        #: :class:`~repro.parallel.messages.EncodedBatch` (int64 rows +
-        #: delta dictionaries) instead of term-level batches, with
-        #: id-keyed dedup and routing.  Same fixpoint, ~an order of
-        #: magnitude fewer bytes on the wire (see benchmarks).
-        self.encode_wire = encode_wire
         if degrade not in ("abort", "recover"):
             raise ValueError(f'degrade must be "abort" or "recover", got {degrade!r}')
         #: Failure handling for :meth:`materialize_async` (see
@@ -167,6 +220,37 @@ class ParallelReasoner:
         self.supervision = supervision
 
     # -- the run ---------------------------------------------------------------
+
+    def _partition(
+        self, instance: Graph
+    ) -> tuple[DataPartitioningResult | None, RulePartitioningResult | None,
+               frozenset]:
+        """Algorithm 1 or Algorithm 2 over the instance data:
+        ``(data result, rule result, vocabulary)`` — exactly one result is
+        set, and the vocabulary is empty for rule partitioning."""
+        if self.approach == "data":
+            # Vocabulary = class URIs in the data plus every TBox resource:
+            # inference can type instances with classes (e.g. restriction
+            # classes) that never appear in the base data, and those must
+            # not become routing targets either.
+            vocabulary = default_vocabulary(instance)
+            vocabulary |= self.compiled.schema.resources()
+            data_result = partition_data(instance, self.policy, self.k,
+                                         strip_schema=False,
+                                         vocabulary=vocabulary)
+            return data_result, None, frozenset(vocabulary)
+        rule_result = partition_rules(
+            self.compiled.rules, self.k,
+            predicate_stats=(
+                predicate_counts(instance) if self.weight_rule_edges else None),
+            workload_estimator=(
+                graph_workload_estimator(instance)
+                if self.weight_rule_edges
+                else None
+            ),
+            seed=self.seed,
+        )
+        return None, rule_result, frozenset()
 
     def materialize(
         self, graph: Graph, preflight: str | None = None
@@ -185,129 +269,63 @@ class ParallelReasoner:
         """
         self._preflight(preflight)
         schema, instance = split_schema(graph)
-
         stats = RunStats(k=self.k)
-        data_result: DataPartitioningResult | None = None
-        rule_result: RulePartitioningResult | None = None
 
-        dictionaries: list = [None] * self.k
-        if self.encode_wire:
-            from repro.parallel.async_backend import build_base_dictionary
-            from repro.rdf.dictionary import PartitionDictionary
-
-            # Seed with the compiled rules too: their ground terms (head
-            # constants, schema classes) are the bulk of what workers would
-            # otherwise mint and ship as delta entries.
-            base = build_base_dictionary([instance], rules=self.compiled.rules)
-            dictionaries = [
-                PartitionDictionary(base, i, self.k) for i in range(self.k)
-            ]
+        # Seed the shared base with the compiled rules (their ground terms
+        # are the bulk of what workers would otherwise mint and ship as
+        # delta entries) and with the schema graphs, so the aggregation
+        # below mints nothing while the workers are resident on it.
+        base = build_base_dictionary(
+            [instance], extra=[schema, self.compiled.schema],
+            rules=self.compiled.rules)
 
         watch = Stopwatch()
-        if self.approach == "data":
-            # Vocabulary = class URIs in the data plus every TBox resource:
-            # inference can type instances with classes (e.g. restriction
-            # classes) that never appear in the base data, and those must
-            # not become routing targets either.
-            from repro.partitioning.data_generic import default_vocabulary
-
-            vocabulary = default_vocabulary(instance)
-            vocabulary |= self.compiled.schema.resources()
-            data_result = partition_data(instance, self.policy, self.k,
-                                         strip_schema=False,
-                                         vocabulary=vocabulary)
+        data_result, rule_result, vocabulary = self._partition(instance)
+        if data_result is not None:
             router: Router = DataPartitionRouter(
-                data_result.owner, vocabulary=frozenset(vocabulary)
-            )
-            workers = [
-                PartitionWorker(
-                    node_id=i,
-                    base=data_result.partitions[i],
-                    rules=self.compiled.rules,
-                    router=router,
-                    strategy=self.strategy,
-                    compile_rules=self.compile_rules,
-                    dictionary=dictionaries[i],
-                    engine=self.engine,
-                    store=self.store,
-                    memory_budget_bytes=self.memory_budget_bytes,
-                    sanitize=self.sanitize,
-                )
-                for i in range(self.k)
-            ]
+                data_result.owner, vocabulary=vocabulary)
+            bases: Sequence[Graph] = data_result.partitions
+            rule_sets: Sequence = [self.compiled.rules] * self.k
         else:
-            from repro.partitioning.rulepart import graph_workload_estimator
-
-            pred_stats = predicate_counts(instance) if self.weight_rule_edges else None
-            rule_result = partition_rules(
-                self.compiled.rules, self.k,
-                predicate_stats=pred_stats,
-                workload_estimator=(
-                    graph_workload_estimator(instance)
-                    if self.weight_rule_edges
-                    else None
-                ),
-                seed=self.seed,
-            )
+            assert rule_result is not None
             router = RulePartitionRouter(rule_result.rule_sets)
-            workers = [
-                PartitionWorker(
-                    node_id=i,
-                    base=instance,  # every node gets the full data set
-                    rules=rule_result.rule_sets[i],
-                    router=router,
-                    strategy=self.strategy,
-                    compile_rules=self.compile_rules,
-                    dictionary=dictionaries[i],
-                    engine=self.engine,
-                    store=self.store,
-                    memory_budget_bytes=self.memory_budget_bytes,
-                    sanitize=self.sanitize,
-                )
-                for i in range(self.k)
-            ]
+            bases = [instance] * self.k  # every node gets the full data set
+            rule_sets = rule_result.rule_sets
+        workers = [
+            PartitionWorker(
+                node_id=i,
+                base=bases[i],
+                rules=rule_sets[i],
+                router=router,
+                dictionary=PartitionDictionary(base, i, self.k),
+                strategy=self.strategy,
+                store=self.store,
+                memory_budget_bytes=self.memory_budget_bytes,
+                sanitize=self.sanitize,
+            )
+            for i in range(self.k)
+        ]
         stats.partition_time = watch.elapsed()
 
-        # --- rounds (BSP) ---
-        round_results = [w.bootstrap() for w in workers]
-        self._record_round(stats, round_results)
-        self._dispatch(round_results)
+        stats.rounds = run_rounds(workers, self.comm, self.max_rounds)
 
-        for _ in range(self.max_rounds):
-            if self.comm.pending() == 0:
-                break
-            round_results = [w.step(self.comm.recv_all(w.node_id)) for w in workers]
-            self._record_round(stats, round_results)
-            self._dispatch(round_results)
-        else:
-            raise RuntimeError(
-                f"no termination after {self.max_rounds} rounds — "
-                "routing is likely re-sending tuples in a cycle"
-            )
-
-        # --- aggregation ---
         agg_watch = Stopwatch()
-        union = Graph()
-        node_outputs = []
+        dictionary, store = gather_rows(workers, schema, self.compiled.schema)
         engine_stats = EngineStats()
         for w in workers:
-            out = w.output_graph()
-            node_outputs.append(out)
-            union.update(iter(out))
             engine_stats.merge(w.engine_stats)
-        union.update(iter(schema))
-        union.update(iter(self.compiled.schema))
         stats.aggregation_time = agg_watch.elapsed()
 
         return ParallelRunResult(
-            graph=union,
-            stats=stats,
-            approach=self.approach,
-            node_outputs=node_outputs,
+            None,
+            stats,
+            self.approach,
             data_partitioning=data_result,
             rule_partitioning=rule_result,
             engine_stats=engine_stats,
             workers=workers,
+            dictionary=dictionary,
+            store=store,
         )
 
     # -- the asynchronous run --------------------------------------------------
@@ -317,15 +335,8 @@ class ParallelReasoner:
         the far side of a process boundary from plain picklable inputs:
         ``(partitions, rules_per_node, router_kind, owner_table, rule_sets)``.
         """
-        if self.approach == "data":
-            from repro.partitioning.data_generic import default_vocabulary
-
-            vocabulary = default_vocabulary(instance)
-            vocabulary |= self.compiled.schema.resources()
-            data_result = partition_data(
-                instance, self.policy, self.k,
-                strip_schema=False, vocabulary=vocabulary,
-            )
+        data_result, rule_result, _vocabulary = self._partition(instance)
+        if data_result is not None:
             return (
                 data_result.partitions,
                 [list(self.compiled.rules) for _ in range(self.k)],
@@ -333,25 +344,14 @@ class ParallelReasoner:
                 dict(data_result.owner.table),
                 None,
             )
-        from repro.partitioning.rulepart import graph_workload_estimator
-
-        pred_stats = predicate_counts(instance) if self.weight_rule_edges else None
-        rule_result = partition_rules(
-            self.compiled.rules, self.k,
-            predicate_stats=pred_stats,
-            workload_estimator=(
-                graph_workload_estimator(instance)
-                if self.weight_rule_edges
-                else None
-            ),
-            seed=self.seed,
-        )
+        assert rule_result is not None
+        rule_sets = [list(rs) for rs in rule_result.rule_sets]
         return (
             [instance] * self.k,  # every node sees the full data set
-            [list(rs) for rs in rule_result.rule_sets],
+            rule_sets,
             "rule",
             None,
-            [list(rs) for rs in rule_result.rule_sets],
+            rule_sets,
         )
 
     def materialize_async(
@@ -363,7 +363,7 @@ class ParallelReasoner:
         faults=None,
         idle_timeout: float = 120.0,
         preflight: str | None = None,
-    ):
+    ) -> AsyncRunResult:
         """Materialize via the supervised round-free runtime instead of
         BSP rounds; returns an
         :class:`~repro.parallel.async_backend.AsyncRunResult` whose graph
@@ -379,13 +379,9 @@ class ParallelReasoner:
         :class:`~repro.parallel.supervisor.WorkerFailure`) or triggers
         ledger-replay recovery on a survivor.
         """
-        from repro.parallel.async_backend import (
-            run_async_inprocess,
-            run_multiprocess_async,
-        )
-
         self._preflight(preflight)
         schema, instance = split_schema(graph)
+        schema_graphs = (schema, self.compiled.schema)
         partitions, rules_per_node, router_kind, owner_table, rule_sets = (
             self._partition_async(instance)
         )
@@ -395,31 +391,28 @@ class ParallelReasoner:
                     "FaultPlan drives the in-process executor only; inject "
                     "multiprocess crashes via the REPRO_FAULT_KILL env var"
                 )
-            result = run_multiprocess_async(
+            return run_multiprocess_async(
                 partitions, rules_per_node, router_kind,
                 owner_table=owner_table, rule_sets=rule_sets,
+                schema_graphs=schema_graphs,
                 start_method=start_method, idle_timeout=idle_timeout,
                 degrade=self.degrade, max_retries=self.max_retries,
-                supervision=self.supervision, with_stats=True,
-                engine=self.engine, store=self.store,
+                supervision=self.supervision, store=self.store,
                 memory_budget_bytes=self.memory_budget_bytes,
                 sanitize=self.sanitize,
             )
-        else:
-            policy = self.supervision
-            result = run_async_inprocess(
-                partitions, rules_per_node, router_kind,
-                owner_table=owner_table, rule_sets=rule_sets,
-                delivery=delivery, seed=self.seed, faults=faults,
-                degrade=policy.degrade if policy else self.degrade,
-                max_retries=policy.max_retries if policy else self.max_retries,
-                engine=self.engine, store=self.store,
-                memory_budget_bytes=self.memory_budget_bytes,
-                sanitize=self.sanitize,
-            )
-        result.graph.update(iter(schema))
-        result.graph.update(iter(self.compiled.schema))
-        return result
+        policy = self.supervision
+        return run_async_inprocess(
+            partitions, rules_per_node, router_kind,
+            owner_table=owner_table, rule_sets=rule_sets,
+            schema_graphs=schema_graphs,
+            delivery=delivery, seed=self.seed, faults=faults,
+            degrade=policy.degrade if policy else self.degrade,
+            max_retries=policy.max_retries if policy else self.max_retries,
+            store=self.store,
+            memory_budget_bytes=self.memory_budget_bytes,
+            sanitize=self.sanitize,
+        )
 
     def apply_async(
         self,
@@ -427,39 +420,34 @@ class ParallelReasoner:
         adds=(),
         removes=(),
         delivery: str = "fifo",
-    ):
+    ) -> AsyncRunResult:
         """Materialize ``graph``, then maintain the closure under
         ``(adds, removes)`` with cluster-wide delete-and-rederive
         (:func:`~repro.parallel.async_backend.run_apply_inprocess`):
         the master broadcasts the retractions as id-encoded
         :class:`~repro.parallel.messages.RemovalBatch` rows, nodes
         overdelete and rebroadcast cascades to quiescence, then delete,
-        rederive and re-close.  Workers run id-native regardless of this
-        reasoner's ``engine`` setting (distributed DRed is an id-space
-        protocol).  Retraction targets *instance* data — schema triples
-        are compiled into the rules and replicated, not maintained.
+        rederive and re-close.  Retraction targets *instance* data —
+        schema triples are compiled into the rules and replicated, not
+        maintained.
 
         Returns an :class:`~repro.parallel.async_backend.AsyncRunResult`
         whose graph equals re-closing ``(base ∖ removes) ∪ adds``.
         """
-        from repro.parallel.async_backend import run_apply_inprocess
-
         schema, instance = split_schema(graph)
         partitions, rules_per_node, router_kind, owner_table, rule_sets = (
             self._partition_async(instance)
         )
-        result = run_apply_inprocess(
+        return run_apply_inprocess(
             partitions, rules_per_node, router_kind,
             adds=list(adds), removes=list(removes),
             owner_table=owner_table, rule_sets=rule_sets,
+            schema_graphs=(schema, self.compiled.schema),
             delivery=delivery, seed=self.seed,
             store=self.store,
             memory_budget_bytes=self.memory_budget_bytes,
             sanitize=self.sanitize,
         )
-        result.graph.update(iter(schema))
-        result.graph.update(iter(self.compiled.schema))
-        return result
 
     # -- helpers -----------------------------------------------------------------
 
@@ -475,39 +463,3 @@ class ParallelReasoner:
         run_preflight(
             rules=self.compiled.rules, mode=mode, approach=self.approach
         )
-
-    def _dispatch(self, round_results: Sequence[RoundResult]) -> None:
-        for result in round_results:
-            for batch in result.outgoing:
-                self.comm.send(batch)
-
-    def _record_round(self, stats: RunStats, round_results: Sequence[RoundResult]) -> None:
-        entries = []
-        for r in round_results:
-            sent_bytes = sum(b.payload_bytes() for b in r.outgoing)
-            entries.append(
-                NodeRoundStats(
-                    node_id=r.node_id,
-                    round_no=r.round_no,
-                    reasoning_time=r.reasoning_time,
-                    work=r.work,
-                    derived=r.derived,
-                    received_tuples=r.received,
-                    sent_tuples=r.sent_tuples,
-                    sent_bytes=sent_bytes,
-                    received_bytes=0,  # filled below
-                    sent_messages=len(r.outgoing),
-                )
-            )
-        # Received bytes for round n are the bytes of batches consumed at
-        # the start of round n — i.e. the previous round's outgoing traffic,
-        # reconstructed from the sender side (exact: same process).
-        previous: list[RoundResult] = getattr(self, "_last_outgoing", [])
-        by_dest: dict[int, int] = {}
-        for r in previous:
-            for batch in r.outgoing:
-                by_dest[batch.dest] = by_dest.get(batch.dest, 0) + batch.payload_bytes()
-        for entry in entries:
-            entry.received_bytes = by_dest.get(entry.node_id, 0)
-        stats.rounds.append(entries)
-        self._last_outgoing = list(round_results)

@@ -23,7 +23,7 @@ partitioning it removes the every-node-holds-everything memory cost.  The
 price is the row-wide replication of base tuples.
 
 :class:`HybridParallelReasoner` mirrors :class:`ParallelReasoner`'s API and
-reuses its worker/termination machinery.
+reuses its worker, round loop and aggregation; only the router is its own.
 """
 
 from __future__ import annotations
@@ -33,14 +33,17 @@ from dataclasses import dataclass
 from repro.datalog.analysis import check_data_partitionable
 from repro.owl.compiler import CompiledRuleSet, compile_ontology
 from repro.owl.reasoner import split_schema
+from repro.parallel.aggregate import gather_rows
+from repro.parallel.async_backend import build_base_dictionary
 from repro.parallel.comm import CommBackend, InMemoryComm
-from repro.parallel.driver import ParallelRunResult
+from repro.parallel.driver import ParallelRunResult, run_rounds
 from repro.parallel.routing import DataPartitionRouter, RulePartitionRouter
-from repro.parallel.stats import NodeRoundStats, RunStats
+from repro.parallel.stats import RunStats
 from repro.parallel.worker import PartitionWorker
 from repro.partitioning.data_generic import default_vocabulary, partition_data
 from repro.partitioning.policies import GraphPartitioningPolicy, PartitioningPolicy
 from repro.partitioning.rulepart import graph_workload_estimator, partition_rules
+from repro.rdf.dictionary import PartitionDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.util.timing import Stopwatch
@@ -127,7 +130,6 @@ class HybridParallelReasoner:
         comm: CommBackend | None = None,
         max_rounds: int = 10_000,
         seed: int = 0,
-        compile_rules: bool = True,
     ) -> None:
         if k_data <= 0 or k_rules <= 0:
             raise ValueError("k_data and k_rules must be positive")
@@ -145,12 +147,14 @@ class HybridParallelReasoner:
         )
         self.max_rounds = max_rounds
         self.seed = seed
-        self.compile_rules = compile_rules
 
     def materialize(self, graph: Graph) -> ParallelRunResult:
         schema, instance = split_schema(graph)
         cfg = self.config
         stats = RunStats(k=cfg.k)
+        base = build_base_dictionary(
+            [instance], extra=[schema, self.compiled.schema],
+            rules=self.compiled.rules)
 
         watch = Stopwatch()
         vocabulary = default_vocabulary(instance)
@@ -171,77 +175,33 @@ class HybridParallelReasoner:
         rule_router = RulePartitionRouter(rule_result.rule_sets)
         router = HybridRouter(data_router, rule_router, cfg.k_data, cfg.k_rules)
 
-        workers = []
-        for row in range(cfg.k_data):
-            for col in range(cfg.k_rules):
-                workers.append(
-                    PartitionWorker(
-                        node_id=router.node_id(row, col),
-                        base=data_result.partitions[row],
-                        rules=rule_result.rule_sets[col],
-                        router=router,
-                        compile_rules=self.compile_rules,
-                    )
-                )
+        workers = [
+            PartitionWorker(
+                node_id=router.node_id(row, col),
+                base=data_result.partitions[row],
+                rules=rule_result.rule_sets[col],
+                router=router,
+                dictionary=PartitionDictionary(
+                    base, router.node_id(row, col), cfg.k),
+            )
+            for row in range(cfg.k_data)
+            for col in range(cfg.k_rules)
+        ]
         stats.partition_time = watch.elapsed()
 
-        round_results = [w.bootstrap() for w in workers]
-        self._record(stats, round_results)
-        for r in round_results:
-            for batch in r.outgoing:
-                self.comm.send(batch)
-        for _ in range(self.max_rounds):
-            if self.comm.pending() == 0:
-                break
-            round_results = [w.step(self.comm.recv_all(w.node_id)) for w in workers]
-            self._record(stats, round_results)
-            for r in round_results:
-                for batch in r.outgoing:
-                    self.comm.send(batch)
-        else:
-            raise RuntimeError(f"no termination after {self.max_rounds} rounds")
+        stats.rounds = run_rounds(workers, self.comm, self.max_rounds)
 
         agg = Stopwatch()
-        union = Graph()
-        node_outputs = []
-        for w in workers:
-            out = w.output_graph()
-            node_outputs.append(out)
-            union.update(iter(out))
-        union.update(iter(schema))
-        union.update(iter(self.compiled.schema))
+        dictionary, store = gather_rows(workers, schema, self.compiled.schema)
         stats.aggregation_time = agg.elapsed()
 
         return ParallelRunResult(
-            graph=union,
-            stats=stats,
-            approach="data",  # closest ancestor for downstream consumers
-            node_outputs=node_outputs,
+            None,
+            stats,
+            "data",  # closest ancestor for downstream consumers
             data_partitioning=data_result,
             rule_partitioning=rule_result,
+            workers=workers,
+            dictionary=dictionary,
+            store=store,
         )
-
-    def _record(self, stats: RunStats, round_results) -> None:
-        previous = getattr(self, "_last_outgoing", [])
-        by_dest: dict[int, int] = {}
-        for r in previous:
-            for batch in r.outgoing:
-                by_dest[batch.dest] = by_dest.get(batch.dest, 0) + batch.payload_bytes()
-        entries = []
-        for r in round_results:
-            entries.append(
-                NodeRoundStats(
-                    node_id=r.node_id,
-                    round_no=r.round_no,
-                    reasoning_time=r.reasoning_time,
-                    work=r.work,
-                    derived=r.derived,
-                    received_tuples=r.received,
-                    sent_tuples=r.sent_tuples,
-                    sent_bytes=sum(b.payload_bytes() for b in r.outgoing),
-                    received_bytes=by_dest.get(r.node_id, 0),
-                    sent_messages=len(r.outgoing),
-                )
-            )
-        stats.rounds.append(entries)
-        self._last_outgoing = list(round_results)

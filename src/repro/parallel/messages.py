@@ -1,19 +1,12 @@
 """Inter-partition message types.
 
-Two payload kinds:
-
-* :class:`TupleBatch` — triples as term objects, sized by their N-Triples
-  serialization.  The original text-based wire format; still the payload
-  of the shared-file backend and the lock-step differential oracle.
-* :class:`EncodedBatch` — triples as three parallel int64 id columns plus
-  a *delta-dictionary* (the ``(id, term)`` pairs the receiver has not seen
-  yet).  The id-encoded wire format of the asynchronous runtime: a tuple
-  costs 24 bytes on the wire, and a term's serialization travels at most
-  once per (sender, receiver) pair.
-
-Both cache their payload size at first computation — cost models call
-``payload_bytes()`` repeatedly, and re-serializing every triple per call
-made that quadratic in practice.
+One payload kind, on every transport: :class:`EncodedBatch` — triples as
+three parallel int64 id columns plus a *delta-dictionary* (the
+``(id, term)`` pairs the receiver has not seen yet).  A tuple costs 24
+bytes on the wire, and a term's serialization travels at most once per
+(sender, receiver) pair.  (:class:`RemovalBatch` is the same layout with
+delete semantics.)  The payload size is fixed at construction — cost
+models call ``payload_bytes()`` repeatedly.
 
 Plus the typed *control messages* of the supervised multiprocess
 protocol (master <-> worker queues).  Worker-originated messages carry
@@ -26,12 +19,11 @@ corrupt the termination ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.rdf.ntriples import triple_to_ntriples
 from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
 
@@ -62,44 +54,6 @@ class SupportsDecode(Protocol):
     def decode(self, term_id: int) -> Term: ...
 
     def decode_many(self, ids: np.ndarray) -> list[Term]: ...
-
-
-@dataclass(frozen=True)
-class TupleBatch:
-    """A batch of tuples in flight from ``sender`` to ``dest``."""
-
-    sender: int
-    dest: int
-    round_no: int
-    triples: tuple[Triple, ...]
-    #: Cached N-Triples serialization (computed once, lazily).
-    _serialized: str | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @classmethod
-    def make(
-        cls, sender: int, dest: int, round_no: int, triples: Sequence[Triple]
-    ) -> "TupleBatch":
-        return cls(sender=sender, dest=dest, round_no=round_no, triples=tuple(triples))
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def payload_bytes(self) -> int:
-        """Serialized size (N-Triples, one line per tuple, newline
-        included) — the unit every cost model consumes.  O(1) after the
-        first call."""
-        return len(self.serialize())
-
-    def serialize(self) -> str:
-        cached = self._serialized
-        if cached is None:
-            cached = "".join(triple_to_ntriples(t) + "\n" for t in self.triples)
-            # Frozen dataclass: the cache slot is set through the back
-            # door; it is derived state, invisible to eq/repr.
-            object.__setattr__(self, "_serialized", cached)
-        return cached
 
 
 class EncodedBatch:

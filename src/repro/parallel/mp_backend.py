@@ -8,8 +8,9 @@ paper's master: it scatters partitions, relays batches (a stand-in for the
 shared filesystem), detects global termination, and gathers outputs.
 
 The communication pattern mirrors mpi4py's object API (``send``/``recv`` of
-picklable payloads); terms re-intern on unpickling via their ``__reduce__``
-hooks, so graphs survive the process boundary intact.
+picklable payloads): id-encoded batches between rounds, and term triples
+(re-interned on unpickling via their ``__reduce__`` hooks) for the inputs
+and the gathered outputs.
 
 This is a correctness backend, not a performance one: on the CI container
 there is a single core, and pickling graphs costs more than reasoning over
@@ -25,7 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datalog.ast import Rule
-from repro.parallel.messages import Heartbeat, TupleBatch
+from repro.parallel.aggregate import RunOutput, encode_outputs
+from repro.parallel.async_backend import build_base_dictionary
+from repro.parallel.messages import EncodedBatch, Heartbeat
 from repro.parallel.routing import DataPartitionRouter, Router, RulePartitionRouter
 from repro.parallel.supervisor import (
     ProcessSupervisor,
@@ -33,7 +36,9 @@ from repro.parallel.supervisor import (
     parent_alive,
 )
 from repro.parallel.worker import PartitionWorker
+from repro.rdf.dictionary import PartitionDictionary, TermDictionary
 from repro.rdf.graph import Graph
+from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
 
 
@@ -48,6 +53,10 @@ class _NodeConfig:
     owner_table: dict | None
     owner_k: int
     rule_sets: list[list[Rule]] | None
+    #: The master's base dictionary as an id-ordered term list; every
+    #: worker rebuilds an identical base and mints above it in stripe
+    #: ``node_id`` of ``owner_k``.
+    base_terms: list[Term]
 
 
 def _make_router(cfg: _NodeConfig) -> Router:
@@ -67,8 +76,8 @@ def _worker_main(
     """Worker process loop.
 
     Protocol (all via queues, driven by the parent):
-      parent -> worker: ("round", [TupleBatch...]) | ("finish",)
-      worker -> parent: ("produced", node_id, [TupleBatch...])
+      parent -> worker: ("round", [EncodedBatch...]) | ("finish",)
+      worker -> parent: ("produced", node_id, [EncodedBatch...])
                         | ("output", node_id, [Triple...])
     The first round is triggered by an empty batch list.
 
@@ -84,6 +93,8 @@ def _worker_main(
         base=base,
         rules=cfg.rules,
         router=_make_router(cfg),
+        dictionary=PartitionDictionary(
+            TermDictionary.from_terms(cfg.base_terms), cfg.node_id, cfg.owner_k),
     )
     first = True
     rounds = 0
@@ -100,7 +111,7 @@ def _worker_main(
             outbox.put(("output", cfg.node_id, list(worker.output_graph())))
             return
         assert kind == "round"
-        batches: list[TupleBatch] = msg[1]
+        batches: list[EncodedBatch] = msg[1]
         result = worker.bootstrap() if first else worker.step(batches)
         first = False
         rounds += 1
@@ -117,8 +128,9 @@ def run_multiprocess(
     start_method: str | None = None,
     idle_timeout: float = 120.0,
     supervision: SupervisionPolicy | None = None,
-) -> Graph:
-    """Execute Algorithm 3 across real processes; returns the unioned KB.
+) -> RunOutput:
+    """Execute Algorithm 3 across real processes; returns the unioned KB
+    (the workers' output triples, encoded at the master).
 
     ``partitions[i]`` and ``rules_per_node[i]`` configure node i.  For
     ``router_kind="data"`` pass the ``owner_table`` (term -> partition);
@@ -142,6 +154,10 @@ def run_multiprocess(
     if len(rules_per_node) != k:
         raise ValueError("rules_per_node must match partitions")
     policy = supervision or SupervisionPolicy(idle_timeout=idle_timeout)
+    base = build_base_dictionary(
+        partitions,
+        rules=[r for rs in (*rules_per_node, *(rule_sets or ())) for r in rs])
+    base_terms = base.terms()
     ctx = mp.get_context(start_method)
     inboxes = [ctx.Queue() for _ in range(k)]
     outbox = ctx.Queue()
@@ -156,6 +172,7 @@ def run_multiprocess(
             owner_table=dict(owner_table) if owner_table else None,
             owner_k=k,
             rule_sets=[list(rs) for rs in rule_sets] if rule_sets else None,
+            base_terms=base_terms,
         )
         proc = ctx.Process(
             target=_worker_main,
@@ -169,7 +186,7 @@ def run_multiprocess(
         for i in range(k):
             inboxes[i].put(("round", []))
         for round_no in range(max_rounds):
-            produced: list[TupleBatch] = []
+            produced: list[EncodedBatch] = []
             for _ in range(k):
                 kind, node_id, batches = sup.get(outbox)
                 assert kind == "produced"
@@ -177,7 +194,7 @@ def run_multiprocess(
             if not produced:
                 break
             # Relay: group batches by destination, start the next round.
-            by_dest: dict[int, list[TupleBatch]] = {i: [] for i in range(k)}
+            by_dest: dict[int, list[EncodedBatch]] = {i: [] for i in range(k)}
             for batch in produced:
                 by_dest[batch.dest].append(batch)
             for i in range(k):
@@ -185,13 +202,13 @@ def run_multiprocess(
         else:
             raise RuntimeError(f"no termination after {max_rounds} rounds")
 
-        union = Graph()
         for i in range(k):
             inboxes[i].put(("finish",))
+        outputs = []
         for _ in range(k):
             kind, node_id, triples = sup.get(outbox)
             assert kind == "output"
-            union.update(triples)
-        return union
+            outputs.append(triples)
+        return RunOutput(dictionary=base, store=encode_outputs(base, outputs))
     finally:
         sup.shutdown()

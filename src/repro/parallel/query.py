@@ -25,7 +25,7 @@ Two scatter implementations share that shape:
   plain :class:`Graph` objects; local matching is the per-triple index
   walk and results travel as term triples;
 * **id-native fast path** (``DistributedQueryEngine.from_workers``) —
-  partitions are resident id-native :class:`PartitionWorker` stores.
+  partitions are resident :class:`PartitionWorker` stores.
   Patterns run in join order with *semi-join pruning*: the coordinator
   ships the ids already bound by earlier patterns, so a partition only
   returns rows that can still join.  Results come back as
@@ -209,12 +209,6 @@ class DistributedQueryEngine:
             worker_list = list(workers)
             if not worker_list:
                 raise ValueError("need at least one worker")
-            for w in worker_list:
-                if not w.id_native or w.dictionary is None:
-                    raise ValueError(
-                        "the worker fast path needs id-native workers "
-                        "(engine='columnar' with the id wire protocol); "
-                        "pass term partition graphs instead")
             self.workers: list[PartitionWorker] | None = worker_list
             self.partitions: list[Graph] = []
             return
@@ -267,9 +261,7 @@ class DistributedQueryEngine:
             patterns=len(query.patterns),
             probes_per_partition=[0] * len(workers),
         )
-        first = workers[0].dictionary
-        assert first is not None
-        gather = GatherDictionary(first.base)
+        gather = GatherDictionary(workers[0].dictionary.base)
         for w in workers:
             w.begin_query_session()
         #: Per worker: non-base ids whose (id, term) entry already shipped

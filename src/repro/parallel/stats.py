@@ -66,11 +66,11 @@ class AsyncRunStats:
         return len(self.failures)
 
     def record_batch(self, batch) -> None:
-        """Account one relayed batch (TupleBatch or EncodedBatch)."""
+        """Account one relayed batch."""
         self.messages += 1
         self.tuples += len(batch)
         self.payload_bytes += batch.payload_bytes()
-        self.delta_terms += len(getattr(batch, "delta", ()))
+        self.delta_terms += len(batch.delta)
         self.deliveries[batch.dest] += 1
 
     def record_failure(self, record) -> None:

@@ -1,8 +1,8 @@
 """One partition's node loop (the per-node body of Algorithm 3).
 
-A worker owns its base tuples (plus the full schema), its rule set (the
-complete compiled set for data partitioning, a subset for rule
-partitioning), and a router.  Two entry points:
+A worker owns its base tuples, its rule set (the complete compiled set
+for data partitioning, a subset for rule partitioning), and a router.
+Two entry points:
 
 * :meth:`PartitionWorker.bootstrap` — the first round: run the local
   reasoner to fixpoint over the base tuples.
@@ -14,13 +14,21 @@ routed and de-duplicated — a tuple is sent to a given destination at most
 once per worker lifetime) and the measured reasoning time/work for the
 round, which the simulated cluster turns into timelines.
 
+The partition's KB lives as int64 columns in an id store keyed by the
+worker's :class:`~repro.rdf.dictionary.PartitionDictionary`; batches in
+and out are :class:`~repro.parallel.messages.EncodedBatch` rows.  Received
+rows are canonicalized, deduplicated, reasoned over and routed without
+materializing a ``Term``/``Triple`` object — terms appear only where a
+router has no id table for a row, and in :meth:`PartitionWorker.
+output_graph`, the decoded view.
+
 Reasoning strategies (mirrors :class:`repro.owl.reasoner.HorstReasoner`):
-``forward`` runs semi-naive throughout; ``backward`` runs the Jena-style
-per-resource SLD materialization for the bootstrap round — the
-super-linear-cost path Section VI analyzes — then semi-naive for the
-incremental rounds (the hybrid shape of Jena's engine; incoming deltas are
-small, so the bootstrap dominates, as in the paper's Fig 2 where reasoning
-time dwarfs IO).
+``forward`` runs the columnar semi-naive fixpoint throughout; ``backward``
+runs the Jena-style per-resource SLD materialization for the bootstrap
+round — the super-linear-cost path Section VI analyzes — then the
+columnar fixpoint for the incremental rounds (the hybrid shape of Jena's
+engine; incoming deltas are small, so the bootstrap dominates, as in the
+paper's Fig 2 where reasoning time dwarfs IO).
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
+from repro.datalog import incremental
 from repro.datalog.ast import Atom, Rule
 from repro.datalog.backward import materialize_backward
 from repro.datalog.columnar import ColumnarEngine, Columns
-from repro.datalog.engine import EngineStats, SemiNaiveEngine
+from repro.datalog.engine import EngineStats
 from repro.parallel.faults import maybe_crash
-from repro.parallel.messages import EncodedBatch, Message, RemovalBatch, TupleBatch
+from repro.parallel.messages import EncodedBatch, Message, RemovalBatch
 from repro.parallel.routing import Router
 from repro.rdf.dictionary import (
     PartitionDictionary,
@@ -44,8 +53,9 @@ from repro.rdf.dictionary import (
     lookup_rows,
 )
 from repro.rdf.graph import Graph
-from repro.rdf.idstore import IdGraph, member_mask
+from repro.rdf.idstore import IdGraph, concat_columns, member_mask
 from repro.rdf.runstore import RunStore
+from repro.rdf.stores import make_store, store_kind
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 from repro.util.timing import Stopwatch
@@ -57,16 +67,6 @@ Strategy = Literal["forward", "backward"]
 #: but can never collide with a node id (the same convention as
 #: master-originated batches, which use ``sender=-1``).
 QUERY_DEST = -1
-
-
-def _concat_columns(parts: Sequence[Columns]) -> Columns:
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
 
 
 @dataclass
@@ -89,13 +89,20 @@ class RoundResult:
 class PartitionWorker:
     """One node of the parallel system.
 
+    ``dictionary`` is this node's stripe over the cluster's shared base
+    dictionary — required, because ids are what workers exchange: a
+    private per-worker dictionary would be silently wrong the moment two
+    workers traded a row.
+
     >>> from repro.parallel.routing import BroadcastRouter
     >>> from repro.datalog.parser import parse_rules
     >>> from repro.rdf import Graph, URI, Triple
+    >>> from repro.rdf.dictionary import PartitionDictionary, TermDictionary
     >>> rules = parse_rules('''@prefix ex: <ex:>
     ... [t: (?a ex:p ?b) (?b ex:p ?c) -> (?a ex:p ?c)]''')
     >>> g = Graph([Triple(URI("ex:1"), URI("ex:p"), URI("ex:2"))])
-    >>> w = PartitionWorker(0, g, rules, BroadcastRouter(2))
+    >>> d = PartitionDictionary(TermDictionary(), 0, 2)
+    >>> w = PartitionWorker(0, g, rules, BroadcastRouter(2), d)
     >>> result = w.bootstrap()
     >>> result.derived
     0
@@ -107,13 +114,9 @@ class PartitionWorker:
         base: Graph,
         rules: Sequence[Rule],
         router: Router,
+        dictionary: PartitionDictionary,
         strategy: Strategy = "forward",
-        schema: Graph | None = None,
-        forward_received: bool = False,
-        compile_rules: bool = True,
-        dictionary: PartitionDictionary | None = None,
         epoch: int = 0,
-        engine: str | None = None,
         store: str | None = None,
         memory_budget_bytes: int | None = None,
         sanitize: bool | None = None,
@@ -127,76 +130,41 @@ class PartitionWorker:
         #: Step calls so far — the deterministic trigger counter for the
         #: env-configured crash injection (see repro.parallel.faults).
         self._steps = 0
-        self.graph = base.copy()
-        if schema is not None:
-            # Schema triples are replicated to every node (Algorithm 1
-            # strips them from the partitioned data; rules are compiled so
-            # they are rarely needed, but user rule sets may reference them).
-            self.graph.update(iter(schema))
         self.rules = tuple(rules)
-        #: Id-native columnar mode: the partition's KB lives as int64
-        #: columns in an :class:`IdGraph` keyed by the partition
-        #: dictionary.  Received ``EncodedBatch`` rows are canonicalized,
-        #: deduplicated, reasoned over and routed without materializing a
-        #: single ``Term``/``Triple`` object — decode happens once, at
-        #: output gather.  Requires the id wire protocol (a dictionary)
-        #: and the forward strategy.
-        self.id_native = (
-            engine == "columnar"
-            and dictionary is not None
-            and strategy == "forward"
-        )
-        #: Columnar store choice: "dense" (IdGraph) or "run" — the
-        #: memory-budgeted compressed :class:`RunStore`; ``None`` derives
-        #: it from whether a budget was given.  Recorded on the worker so
-        #: supervision can rebuild adopted incarnations with the same
-        #: storage and budget.
-        # Imported lazily: the repro.analysis package imports repro.datalog.
-        from repro.analysis.sanitize import make_store, store_kind
-
+        #: Store choice: "dense" (IdGraph) or "run" — the memory-budgeted
+        #: compressed :class:`RunStore`; ``None`` derives it from whether
+        #: a budget was given.  Recorded on the worker so supervision can
+        #: rebuild adopted incarnations with the same storage and budget.
         self.store = store_kind(store, memory_budget_bytes)
         self.memory_budget_bytes = memory_budget_bytes
         #: Runtime-sanitizer switch (tri-state; None defers to
         #: REPRO_SANITIZE).  Recorded so supervision rebuilds adopted
         #: incarnations with the same checking.
         self.sanitize = sanitize
-        if self.id_native:
-            assert dictionary is not None
-            self.engine = None
-            self._columnar: ColumnarEngine | None = ColumnarEngine(
-                self.rules, dictionary)
-            self._idgraph: IdGraph | RunStore | None = make_store(
-                self.store,
-                capacity=len(self.graph),
-                memory_budget_bytes=memory_budget_bytes,
-                sanitize=sanitize,
-                label=f"worker{node_id}-store",
-                seed=node_id,
-            )
-            s_arr, p_arr, o_arr = encode_rows(
-                dictionary, self.graph.spo_items())
-            self._idgraph.add_rows(s_arr, p_arr, o_arr)
-            #: The asserted rows (base partition + schema) in id space —
-            #: DRed's rederivation keeps asserted-but-also-derivable rows
-            #: alive from this set; user retractions remove from it.
-            self._base_rows: IdGraph | None = IdGraph(capacity=len(s_arr))
-            self._base_rows.add_rows(s_arr, p_arr, o_arr)
-            #: Rows marked by the overdeletion phase but not yet
-            #: physically deleted (see :meth:`finalize_removals`).
-            self._overdeleted: IdGraph | None = IdGraph()
-        else:
-            #: Every partition runs the compiled kernels by default — the
-            #: per-partition fixpoint is the hottest path in Algorithms 1-3.
-            self.engine = SemiNaiveEngine(
-                self.rules, compile_rules=compile_rules, engine=engine,
-                store=store if engine == "columnar" else None,
-                memory_budget_bytes=(
-                    memory_budget_bytes if engine == "columnar" else None),
-                sanitize=sanitize)
-            self._columnar = None
-            self._idgraph = None
-            self._base_rows = None
-            self._overdeleted = None
+        #: Fresh rows are routed by id: the sent-dedup and (where the
+        #: router supports it) destination lookups key on int id-triples,
+        #: and a term minted here ships to a given peer once, in a batch's
+        #: delta-dictionary.
+        self.dictionary = dictionary
+        self._columnar = ColumnarEngine(self.rules, dictionary)
+        self._idgraph: IdGraph | RunStore = make_store(
+            self.store,
+            capacity=len(base),
+            memory_budget_bytes=memory_budget_bytes,
+            sanitize=sanitize,
+            label=f"worker{node_id}-store",
+            seed=node_id,
+        )
+        s_arr, p_arr, o_arr = encode_rows(dictionary, base.spo_items())
+        self._idgraph.add_rows(s_arr, p_arr, o_arr)
+        #: The asserted rows (the base partition) in id space — DRed's
+        #: rederivation keeps asserted-but-also-derivable rows alive from
+        #: this set; user retractions remove from it.
+        self._base_rows = IdGraph(capacity=len(s_arr))
+        self._base_rows.add_rows(s_arr, p_arr, o_arr)
+        #: Rows marked by the overdeletion phase but not yet physically
+        #: deleted (see :meth:`finalize_removals`).
+        self._overdeleted = IdGraph()
         #: Cumulative six-field engine counters across all rounds — what
         #: the driver merges into a KB's totals (the backward bootstrap
         #: reports only its scalar ``work``; its SLD counters are not
@@ -204,27 +172,12 @@ class PartitionWorker:
         self.engine_stats = EngineStats()
         self.router = router
         self.strategy: Strategy = strategy
-        #: Re-route tuples received from peers (dedup-guarded).  Off for
-        #: static partitioning (the sender already reached every owner);
-        #: required when ownership can change mid-run (dynamic
-        #: rebalancing), where an in-flight tuple may land on a node that
-        #: is no longer the owner and must be forwarded onward.
-        self.forward_received = forward_received
         self.round_no = 0
-        #: When a dictionary is supplied the worker speaks the id-encoded
-        #: wire protocol: fresh tuples are encoded once at the routing
-        #: boundary, the sent-dedup and (where the router supports it)
-        #: destination lookups key on int id-triples, and outgoing batches
-        #: are :class:`EncodedBatch` rows plus a per-destination
-        #: delta-dictionary of newly minted terms.
-        self.dictionary = dictionary
-        if dictionary is not None:
-            bind = getattr(router, "bind_dictionary", None)
-            if bind is not None and getattr(router, "_subject_owner", None) is None:
-                bind(dictionary)
-        #: Tuples already sent (to anyone) — each tuple is routed once.
-        #: Term triples, or id rows when the dictionary is active.
-        self._sent: set = set()
+        bind = getattr(router, "bind_dictionary", None)
+        if bind is not None and getattr(router, "_subject_owner", None) is None:
+            bind(dictionary)
+        #: Id rows already sent (to anyone) — each row is routed once.
+        self._sent: set[tuple[int, int, int]] = set()
         #: Per destination: non-base ids whose delta entry already shipped.
         self._known_by_dest: dict[int, set[int]] = {}
 
@@ -233,189 +186,51 @@ class PartitionWorker:
     def bootstrap(self) -> RoundResult:
         """Round 0: local fixpoint over the base tuples."""
         watch = Stopwatch()
-        if self.id_native:
-            assert self._columnar is not None and self._idgraph is not None
-            fixpoint = self._columnar.run(self._idgraph)
-            self.engine_stats.merge(fixpoint.stats)
-            reasoning_time = watch.elapsed()
-            return self._finish_round_rows(
-                fixpoint.inferred, received=0,
-                reasoning_time=reasoning_time, work=fixpoint.stats.work)
         if self.strategy == "backward":
-            materialized, stats = materialize_backward(self.graph, self.rules)
-            fresh = [t for t in materialized if t not in self.graph]
-            self.graph = materialized
+            # A detour through terms, until ROADMAP item 7 ports
+            # datalog/backward.py onto the id store: the SLD driver walks
+            # a term Graph, so decode, materialize, encode what is new.
+            materialized, stats = materialize_backward(
+                self.output_graph(), self.rules)
+            fresh = self._idgraph.add_rows(
+                *encode_rows(self.dictionary, materialized.spo_items()))
             work = stats.work
         else:
-            assert self.engine is not None
-            result = self.engine.run(self.graph)
-            self.engine_stats.merge(result.stats)
-            fresh = list(result.inferred)
-            work = result.stats.work
-        reasoning_time = watch.elapsed()
+            fixpoint = self._columnar.run(self._idgraph)
+            self.engine_stats.merge(fixpoint.stats)
+            fresh = fixpoint.inferred
+            work = fixpoint.stats.work
         return self._finish_round(fresh, received=0,
-                                  reasoning_time=reasoning_time, work=work)
+                                  reasoning_time=watch.elapsed(), work=work)
 
     def step(self, incoming: Iterable[Message]) -> RoundResult:
-        """One communication round: ingest received batches (term-level or
-        id-encoded), resume the fixpoint with them as the delta."""
+        """One communication round: batches land as id columns, are
+        canonicalized (two peers may have minted different ids for the same
+        runtime term), membership-filtered against the store, and fed to
+        the columnar fixpoint as the delta — no term objects anywhere.
+
+        Each incoming row is tested against the *pre-step* store, so a row
+        arriving in two batches in the same round counts twice in
+        ``received``.  The sender already routed received rows to every
+        owner, so only locally derived rows are routed onward.
+        """
         self._steps += 1
         maybe_crash(self.node_id, self.epoch, self._steps)
-        if self.id_native:
-            return self._step_rows(incoming)
-        received: list[Triple] = []
-        for batch in incoming:
-            if isinstance(batch, RemovalBatch):
-                raise RuntimeError(
-                    "removal batches require an id-native columnar worker "
-                    "(engine='columnar' with the id wire protocol)"
-                )
-            if isinstance(batch, EncodedBatch):
-                if self.dictionary is None:
-                    raise RuntimeError(
-                        "received an EncodedBatch but this worker has no "
-                        "dictionary to decode it"
-                    )
-                triples: Iterable[Triple] = batch.decode(self.dictionary)
-            else:
-                triples = batch.triples
-            for t in triples:
-                if t not in self.graph:
-                    received.append(t)
-        watch = Stopwatch()
-        if received:
-            result = self.engine.run(self.graph, delta=received)
-            self.engine_stats.merge(result.stats)
-            fresh = list(result.inferred)
-            work = result.stats.work
-        else:
-            fresh = []
-            work = 0
-        reasoning_time = watch.elapsed()
-        # With static ownership the sender already routed received tuples
-        # to every owner, so only locally derived tuples are routed.  Under
-        # dynamic rebalancing ownership may have moved since the sender
-        # routed, so received tuples re-enter routing (dedup keeps this
-        # from looping).
-        routable = list(fresh)
-        if self.forward_received:
-            routable.extend(received)
-        return self._finish_round(fresh, received=len(received),
-                                  reasoning_time=reasoning_time, work=work,
-                                  routable=routable)
-
-    def _finish_round(
-        self, fresh: Sequence[Triple], received: int,
-        reasoning_time: float, work: int,
-        routable: Sequence[Triple] | None = None,
-    ) -> RoundResult:
-        to_route = routable if routable is not None else fresh
-        if self.dictionary is not None:
-            batches: list[Message] = self._route_encoded(to_route)
-        else:
-            outgoing_map: dict[int, list[Triple]] = {}
-            for t in to_route:
-                if t in self._sent:
-                    continue
-                dests = self.router.destinations(self.node_id, t)
-                if dests:
-                    self._sent.add(t)
-                    for d in dests:
-                        outgoing_map.setdefault(d, []).append(t)
-            batches = [
-                TupleBatch.make(self.node_id, dest, self.round_no, triples)
-                for dest, triples in sorted(outgoing_map.items())
-            ]
-        result = RoundResult(
-            node_id=self.node_id,
-            round_no=self.round_no,
-            outgoing=batches,
-            derived=len(fresh),
-            received=received,
-            reasoning_time=reasoning_time,
-            work=work,
-        )
-        self.round_no += 1
-        return result
-
-    def _route_encoded(self, triples: Sequence[Triple]) -> list[Message]:
-        """Id-encoded routing: each fresh tuple is encoded exactly once;
-        dedup and (for owner-table routers) destination lookups are int
-        probes; a term's serialization ships to a given peer at most once,
-        in the batch's delta-dictionary."""
-        d = self.dictionary
-        assert d is not None
-        enc = d.encode
-        base_size = d.base_size
-        by_id = (
-            self.router.destinations_by_id
-            if getattr(self.router, "_subject_owner", None) is not None
-            else None
-        )
-        rows_by_dest: dict[int, list[tuple[int, int, int]]] = {}
-        delta_by_dest: dict[int, list[tuple[int, Term]]] = {}
-        for t in triples:
-            row = (enc(t.s), enc(t.p), enc(t.o))
-            if row in self._sent:
-                continue
-            if by_id is not None:
-                dests = by_id(self.node_id, row[0], row[2], t)
-            else:
-                dests = self.router.destinations(self.node_id, t)
-            if not dests:
-                continue
-            self._sent.add(row)
-            for dest in dests:
-                rows_by_dest.setdefault(dest, []).append(row)
-                if row[0] >= base_size or row[1] >= base_size or row[2] >= base_size:
-                    known = self._known_by_dest.setdefault(dest, set())
-                    for tid, term in zip(row, t):
-                        if tid >= base_size and tid not in known:
-                            known.add(tid)
-                            delta_by_dest.setdefault(dest, []).append((tid, term))
-        return [
-            EncodedBatch.make(
-                self.node_id, dest, self.round_no, rows,
-                delta_by_dest.get(dest, ()),
-            )
-            for dest, rows in sorted(rows_by_dest.items())
-        ]
-
-    # -- id-native rounds -------------------------------------------------------
-
-    def _step_rows(self, incoming: Iterable[Message]) -> RoundResult:
-        """Id-native :meth:`step`: batches land as id columns, are
-        canonicalized (two peers may have minted different ids for the same
-        runtime term), membership-filtered against the columnar store, and
-        fed to the columnar fixpoint — no term objects anywhere.
-
-        The ``received`` count keeps the term path's semantics exactly:
-        each incoming row is tested against the *pre-step* store, so a row
-        arriving in two batches in the same round is counted twice, as the
-        term path's per-triple graph test does.
-        """
         d = self.dictionary
         idg = self._idgraph
-        columnar = self._columnar
-        assert d is not None and idg is not None and columnar is not None
         parts: list[Columns] = []
         removals: list[RemovalBatch] = []
         received = 0
         for batch in incoming:
+            # RemovalBatch first: isinstance matches its parent too.
             if isinstance(batch, RemovalBatch):
                 removals.append(batch)
                 continue
-            if isinstance(batch, EncodedBatch):
-                if batch.delta:
-                    d.apply_delta(batch.delta)
-                s = d.canonical_ids(batch.s_ids)
-                p = d.canonical_ids(batch.p_ids)
-                o = d.canonical_ids(batch.o_ids)
-            else:
-                triples = batch.triples
-                s = d.encode_many(t.s for t in triples)
-                p = d.encode_many(t.p for t in triples)
-                o = d.encode_many(t.o for t in triples)
+            if batch.delta:
+                d.apply_delta(batch.delta)
+            s = d.canonical_ids(batch.s_ids)
+            p = d.canonical_ids(batch.p_ids)
+            o = d.canonical_ids(batch.o_ids)
             if len(s) == 0:
                 continue
             keep = ~idg.contains_rows(s, p, o)
@@ -430,39 +245,25 @@ class PartitionWorker:
             extra, taken, od_work = self._ingest_removals(removals)
             received += taken
             work += od_work
+        fresh: Columns = concat_columns([])
         if parts:
-            delta = _concat_columns(parts)
-            fixpoint = columnar.run(idg, delta)
+            fixpoint = self._columnar.run(idg, concat_columns(parts))
             self.engine_stats.merge(fixpoint.stats)
             fresh = fixpoint.inferred
             work += fixpoint.stats.work
-        else:
-            delta = None
-            empty = np.empty(0, dtype=np.int64)
-            fresh = (empty, empty, empty)
-        reasoning_time = watch.elapsed()
-        routable = fresh
-        if self.forward_received and delta is not None:
-            routable = _concat_columns([fresh, delta])
-        return self._finish_round_rows(fresh, received=received,
-                                       reasoning_time=reasoning_time,
-                                       work=work, routable=routable,
-                                       extra_outgoing=extra)
+        return self._finish_round(fresh, received=received,
+                                  reasoning_time=watch.elapsed(),
+                                  work=work, extra_outgoing=extra)
 
-    def _finish_round_rows(
+    def _finish_round(
         self, fresh: Columns, received: int,
         reasoning_time: float, work: int,
-        routable: Columns | None = None,
-        extra_outgoing: list[Message] | None = None,
+        extra_outgoing: Sequence[Message] = (),
     ) -> RoundResult:
-        rows = routable if routable is not None else fresh
-        outgoing = self._route_rows(rows)
-        if extra_outgoing:
-            outgoing = extra_outgoing + outgoing
         result = RoundResult(
             node_id=self.node_id,
             round_no=self.round_no,
-            outgoing=outgoing,
+            outgoing=[*extra_outgoing, *self._route(fresh)],
             derived=len(fresh[0]),
             received=received,
             reasoning_time=reasoning_time,
@@ -471,13 +272,12 @@ class PartitionWorker:
         self.round_no += 1
         return result
 
-    def _route_rows(self, rows: Columns) -> list[Message]:
-        """Id-native routing: the hot path is two int dict probes per row
+    def _route(self, rows: Columns) -> list[Message]:
+        """Route fresh rows: the hot path is two int dict probes per row
         (:meth:`DataPartitionRouter.destinations_by_id_cached`); a row's
         terms are decoded only on a cold cache (a term first seen this
         round) or for a router with no id tables at all."""
         d = self.dictionary
-        assert d is not None
         base_size = d.base_size
         router = self.router
         warm = getattr(router, "_subject_owner", None) is not None
@@ -517,7 +317,7 @@ class PartitionWorker:
             for dest, dest_rows in sorted(rows_by_dest.items())
         ]
 
-    # -- distributed query answering (id-native only) ----------------------------
+    # -- distributed query answering ---------------------------------------------
 
     def begin_query_session(self) -> None:
         """Reset the ship-once delta bookkeeping for coordinator-bound
@@ -550,13 +350,8 @@ class PartitionWorker:
         the index surfaced before any filtering, the same work unit the
         term-level scatter reports.
         """
-        if not self.id_native:
-            raise RuntimeError(
-                "answer_pattern requires an id-native columnar worker "
-                "(engine='columnar' with the id wire protocol)")
         d = self.dictionary
         idg = self._idgraph
-        assert d is not None and idg is not None
         if delta:
             d.apply_delta(delta)
         empty = np.empty(0, dtype=np.int64)
@@ -639,11 +434,9 @@ class PartitionWorker:
 
     @property
     def store_version(self) -> int:
-        """The columnar store's monotone row-set version (id-native only)
-        — the serving tier's result-cache key: it moves exactly when the
-        store's logical row set changes."""
-        if self._idgraph is None:
-            raise RuntimeError("store_version requires an id-native worker")
+        """The store's monotone row-set version — the serving tier's
+        result-cache key: it moves exactly when the store's logical row
+        set changes."""
         return self._idgraph.version
 
     def apply_closure_delta(
@@ -662,19 +455,15 @@ class PartitionWorker:
         version counter moves iff the row set changed, which is what
         invalidates version-keyed result caches.
         """
-        if not self.id_native:
-            raise RuntimeError(
-                "apply_closure_delta requires an id-native columnar worker")
         d = self.dictionary
         idg = self._idgraph
-        assert d is not None and idg is not None
         removed = idg.delete_rows(
             *lookup_rows(d, ((t.s, t.p, t.o) for t in removes)))
         fresh = idg.add_rows(
             *encode_rows(d, ((t.s, t.p, t.o) for t in adds)))
         return len(fresh[0]), removed
 
-    # -- distributed DRed (id-native only) --------------------------------------
+    # -- distributed DRed --------------------------------------------------------
 
     def _ingest_removals(
         self, batches: Sequence[RemovalBatch]
@@ -697,15 +486,6 @@ class PartitionWorker:
         idg = self._idgraph
         columnar = self._columnar
         over = self._overdeleted
-        if not self.id_native:
-            raise RuntimeError(
-                "removal batches require an id-native columnar worker "
-                "(engine='columnar' with the id wire protocol)"
-            )
-        assert (d is not None and idg is not None and columnar is not None
-                and over is not None and self._base_rows is not None)
-        from repro.datalog import incremental
-
         parts: list[Columns] = []
         taken = 0
         for batch in batches:
@@ -723,7 +503,7 @@ class PartitionWorker:
             parts.append((s, p, o))
         if not parts:
             return [], 0, 0
-        seed = _concat_columns(parts)
+        seed = concat_columns(parts)
         stats = EngineStats()
         cascade = incremental.overdelete_id(columnar, idg, seed, over, stats)
         self.engine_stats.merge(stats)
@@ -732,15 +512,13 @@ class PartitionWorker:
     def _broadcast_removals(self, rows: Columns) -> list[Message]:
         """One :class:`RemovalBatch` per peer (``retract_base=False`` —
         a propagated cascade never touches anyone's asserted base).  The
-        delta-dictionary bookkeeping mirrors :meth:`_route_rows`: a peer
+        delta-dictionary bookkeeping mirrors :meth:`_route`: a peer
         may be told to delete a row whose terms it has never decoded."""
         if len(rows[0]) == 0:
             return []
         d = self.dictionary
-        assert d is not None
         base_size = d.base_size
-        k = getattr(self.router, "k", None)
-        assert k is not None, "removal broadcast needs a router with .k"
+        k = self.router.k
         row_list = list(zip(rows[0].tolist(), rows[1].tolist(),
                             rows[2].tolist()))
         out: list[Message] = []
@@ -775,13 +553,6 @@ class PartitionWorker:
         idg = self._idgraph
         columnar = self._columnar
         over = self._overdeleted
-        if not self.id_native:
-            raise RuntimeError(
-                "finalize_removals requires an id-native columnar worker")
-        assert (idg is not None and columnar is not None and over is not None
-                and self._base_rows is not None)
-        from repro.datalog import incremental
-
         watch = Stopwatch()
         empty = np.empty(0, dtype=np.int64)
         fresh: Columns = (empty, empty, empty)
@@ -796,22 +567,22 @@ class PartitionWorker:
             if len(seed):
                 fixpoint = columnar.run(idg, delta=seed.columns())
                 stats.merge(fixpoint.stats)
-                fresh = _concat_columns([seed.columns(), fixpoint.inferred])
+                fresh = concat_columns([seed.columns(), fixpoint.inferred])
             self._overdeleted = IdGraph()
             self.engine_stats.merge(stats)
-        reasoning_time = watch.elapsed()
-        return self._finish_round_rows(
-            fresh, received=0, reasoning_time=reasoning_time,
+        return self._finish_round(
+            fresh, received=0, reasoning_time=watch.elapsed(),
             work=stats.work)
 
     # -- results ---------------------------------------------------------------
 
+    def output_rows(self) -> Columns:
+        """This node's final KB (base + received + inferred) as the
+        store's id columns, in this worker's dictionary — what the
+        driver's aggregation gathers."""
+        return self._idgraph.columns()
+
     def output_graph(self) -> Graph:
-        """This node's final KB (base + received + inferred).  The
-        id-native worker decodes its columnar store here — the single
-        id -> term materialization point of a run."""
-        if self.id_native:
-            assert self.dictionary is not None and self._idgraph is not None
-            return Graph(
-                decode_rows(self.dictionary, *self._idgraph.columns()))
-        return self.graph
+        """:meth:`output_rows` decoded into a term :class:`Graph` — a
+        fresh snapshot per call; no executor is on this path."""
+        return Graph(decode_rows(self.dictionary, *self.output_rows()))

@@ -160,7 +160,7 @@ class _ApplyRequest:
 class KBServer:
     """A materialized KB kept resident and served concurrently.
 
-    ``workers`` are the id-native partition workers of a finished
+    ``workers`` are the partition workers of a finished
     parallel run (``ParallelRunResult.workers`` from the BSP driver or
     ``AsyncRunResult.workers`` from the in-process async runtime) — their
     columnar stores *are* the serving replicas.  Without workers the
@@ -190,11 +190,6 @@ class KBServer:
         self._kb = kb
         if workers:
             worker_list = list(workers)
-            for w in worker_list:
-                if not w.id_native or w.dictionary is None:
-                    raise ValueError(
-                        "KBServer needs id-native workers (engine="
-                        "'columnar' with the id wire protocol)")
             self._workers: list[PartitionWorker] | None = worker_list
             self._gather: GatherDictionary | None = GatherDictionary(
                 worker_list[0].dictionary.base)
@@ -236,15 +231,14 @@ class KBServer:
         approach: str = "data",
         **options: int | float,
     ) -> "KBServer":
-        """Materialize ``data`` on a ``k``-node id-native cluster and
-        serve it.  ``backend`` picks the runtime that builds the closure
+        """Materialize ``data`` on a ``k``-node cluster and serve it.  ``backend`` picks the runtime that builds the closure
         — ``"bsp"`` (synchronous rounds) or ``"async"`` (the supervised
         round-free runtime); both leave their partition workers resident
         for the read path.  Remaining keyword options go to the server
         constructor."""
         kb = MaterializedKB(ontology)
         kb.bulk_load(data, parallel_k=k, approach=approach,  # type: ignore[arg-type]
-                     engine="columnar", encode_wire=True, backend=backend)
+                     backend=backend)
         run = kb.last_parallel_run
         workers = list(run.workers) if run is not None else []
         return cls(kb, workers=workers or None, **options)  # type: ignore[arg-type]

@@ -25,6 +25,8 @@ from repro.parallel.async_backend import _make_router
 from repro.partitioning import GraphPartitioningPolicy, HashPartitioningPolicy, partition_data, partition_rules
 from repro.rdf import Graph, Triple, URI
 
+from tests.helpers import stripes
+
 
 def u(name):
     return URI(f"ex:{name}")
@@ -52,12 +54,15 @@ def data():
 def run_lockstep(partitions, rules_per_node, router_kind,
                  owner_table=None, rule_sets=None, max_rounds=1000):
     """In-process lock-step oracle with the exact configuration surface of
-    the async executor (same router construction, term-level wire)."""
+    the async executor (same router construction, same wire)."""
     k = len(partitions)
     router = _make_router(router_kind, owner_table, k, rule_sets)
+    dictionaries = stripes(
+        k, *partitions, rules=[r for rs in rules_per_node for r in rs])
     workers = [
         PartitionWorker(node_id=i, base=partitions[i],
-                        rules=rules_per_node[i], router=router)
+                        rules=rules_per_node[i], router=router,
+                        dictionary=dictionaries[i])
         for i in range(k)
     ]
     produced = [b for w in workers for b in w.bootstrap().outgoing]
@@ -188,6 +193,15 @@ class TestDeltaDictionaryReconciliation:
                                      owner_table={}, delivery="shuffle",
                                      seed=11, seed_rule_terms=False)
         assert result.graph == serial
+        # Both workers minted their own id for ex:FreshClass (same term,
+        # two stripes); the gathered store holds each triple once, re-keyed
+        # into a copy — the resident workers' shared base did not grow.
+        fresh = u("FreshClass")
+        a, b = (w.dictionary for w in result.workers)
+        assert a.base is b.base and a.get(fresh) != b.get(fresh)
+        assert min(a.get(fresh), b.get(fresh)) >= len(a.base) == a.base_size
+        assert len(result.store) == len(serial)
+        assert result.dictionary is not a.base
         # The fresh terms shipped as delta entries, not as re-serialized
         # term text per tuple.
         assert result.stats.delta_terms > 0
@@ -240,11 +254,12 @@ def test_multiprocess_async_matches_serial_data(tbox, data):
     crs = compile_ontology(tbox)
     serial = HorstReasoner(tbox).materialize(data).graph
     dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
-    union = run_multiprocess_async(
+    result = run_multiprocess_async(
         dp.partitions, [crs.rules] * 2, "data",
         owner_table=dict(dp.owner.table),
     )
-    assert union == serial
+    assert result.graph == serial
+    assert len(result.store) == len(serial)
 
 
 @pytest.mark.slow
@@ -252,10 +267,10 @@ def test_multiprocess_async_matches_serial_rule(tbox, data):
     crs = compile_ontology(tbox)
     serial = HorstReasoner(tbox).materialize(data).graph
     rp = partition_rules(crs.rules, k=2, seed=0)
-    union = run_multiprocess_async(
+    result = run_multiprocess_async(
         [data, data], rp.rule_sets, "rule", rule_sets=rp.rule_sets,
     )
-    assert union == serial
+    assert result.graph == serial
 
 
 def test_mismatched_configuration_rejected(data):

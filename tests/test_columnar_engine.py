@@ -332,14 +332,14 @@ class TestDifferential:
 
     @settings(max_examples=10, deadline=None)
     @given(_instance_graphs())
-    def test_id_native_workers_match_term_workers(self, data):
+    def test_parallel_workers_match_serial_closure(self, data):
         tbox = _rich_tbox()
         mixed = Graph(list(tbox) + list(data))
-        term = ParallelReasoner(tbox, k=3, encode_wire=True).materialize(mixed)
-        cols = ParallelReasoner(
-            tbox, k=3, encode_wire=True, engine="columnar"
-        ).materialize(mixed)
-        assert set(term.graph) == set(cols.graph)
+        serial = HorstReasoner(tbox).materialize(data)
+        reasoner = ParallelReasoner(tbox, k=3)
+        run = reasoner.materialize(mixed)
+        assert set(run.graph) == (
+            set(serial.graph) | set(reasoner.compiled.schema) | set(tbox))
 
     def test_lubm1_closure_matches_compiled(self):
         data = LUBM(1).data
@@ -384,10 +384,8 @@ class TestIdNativeWorkers:
             base.encode(t.s), base.encode(t.p), base.encode(t.o)
         w = PartitionWorker(
             0, data, compile_ontology(_mp_tbox()).rules, BroadcastRouter(1),
-            dictionary=PartitionDictionary(base, 0, 1), engine="columnar",
+            dictionary=PartitionDictionary(base, 0, 1),
         )
-        assert w.id_native
-        assert w.engine is None  # no term-level engine is ever built
         w.bootstrap()
         serial = HorstReasoner(_mp_tbox()).materialize(data)
         assert set(w.output_graph()) == set(serial.graph)
@@ -395,8 +393,8 @@ class TestIdNativeWorkers:
     def test_async_inprocess_shuffle_matches_lockstep(self):
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
-        ref = ParallelReasoner(tbox, k=3, encode_wire=True).materialize(mixed)
-        res = ParallelReasoner(tbox, k=3, engine="columnar").materialize_async(
+        ref = ParallelReasoner(tbox, k=3).materialize(mixed)
+        res = ParallelReasoner(tbox, k=3).materialize_async(
             mixed, delivery="shuffle")
         assert set(res.graph) == set(ref.graph)
 
@@ -406,7 +404,7 @@ class TestIdNativeWorkers:
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
         serial = HorstReasoner(tbox).materialize(data)
-        res = ParallelReasoner(tbox, k=2, engine="columnar").materialize_async(
+        res = ParallelReasoner(tbox, k=2).materialize_async(
             mixed, multiprocess=True, start_method=start_method)
         expect = set(serial.graph) | set(
             compile_ontology(tbox).schema) | set(tbox)

@@ -128,3 +128,48 @@ class TestSameAsGating:
         assert "rdfp11" in names
         with pytest.raises(ValueError):
             crs.check_single_join()
+
+
+# --- rule order is a function of the ontology, not of PYTHONHASHSEED ----------
+
+_SEED_PROBE = """
+import json
+from repro.experiments.common import SCALES, build_dataset
+from repro.datalog.analysis import predicate_counts
+from repro.owl.compiler import compile_ontology
+from repro.partitioning.rulepart import graph_workload_estimator, partition_rules
+
+out = {}
+for name in ("lubm", "mdc"):
+    ds = build_dataset(name, SCALES["tiny"])
+    rules = compile_ontology(ds.ontology, split_sameas=False).rules
+    parts = partition_rules(
+        rules, 3, predicate_stats=predicate_counts(ds.data),
+        workload_estimator=graph_workload_estimator(ds.data), seed=0)
+    out[name] = [[str(r) for r in rules],
+                 [[r.name for r in rs] for rs in parts.rule_sets]]
+print(json.dumps(out))
+"""
+
+
+def test_rule_order_and_rule_partitioning_ignore_the_hash_seed():
+    """`Graph.match` walks set-valued index leaves; the compiler must not
+    let that order reach rule order, the `.N` name suffixes, or (through
+    the vertex order) Algorithm 2's assignment — Figs 5/6 depend on it."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEED_PROBE],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed,
+                 "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0]["lubm"][0]) > 50  # the probe compiled real rules

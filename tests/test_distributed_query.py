@@ -100,8 +100,7 @@ class TestIdNativeFastPath:
         ds = LUBM(2, seed=0, departments_per_university=2,
                   faculty_per_department=2, students_per_faculty=3,
                   cross_university_fraction=0.0)
-        pr = ParallelReasoner(ds.ontology, k=3, approach="data",
-                              engine="columnar", encode_wire=True)
+        pr = ParallelReasoner(ds.ontology, k=3, approach="data")
         result = pr.materialize(ds.data)
         centralized = HorstReasoner(ds.ontology).materialize(ds.data).graph
         return result, centralized
@@ -165,14 +164,6 @@ class TestIdNativeFastPath:
         assert stats.modeled_gather_time(model) == model.transfer_time(
             stats.total_payload_bytes, messages)
 
-    def test_term_workers_rejected(self):
-        ds = LUBM(1, seed=0, departments_per_university=1,
-                  faculty_per_department=1, students_per_faculty=1)
-        pr = ParallelReasoner(ds.ontology, k=2, approach="data")
-        result = pr.materialize(ds.data)
-        with pytest.raises(ValueError, match="id-native"):
-            DistributedQueryEngine.from_workers(result.workers)
-
     def test_workers_and_partitions_mutually_exclusive(self, cluster):
         result, _ = cluster
         with pytest.raises(ValueError, match="not both"):
@@ -197,8 +188,7 @@ class TestUnderForkAndSpawn:
     def test_id_engine_agrees_with_multiprocess_closure(
             self, dataset, start_method):
         ds = dataset
-        pr = ParallelReasoner(ds.ontology, k=2, approach="data",
-                              engine="columnar", encode_wire=True)
+        pr = ParallelReasoner(ds.ontology, k=2, approach="data")
         mp_result = pr.materialize_async(
             ds.data, multiprocess=True, start_method=start_method)
         # multiprocess workers died with their processes — no fast path

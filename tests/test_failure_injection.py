@@ -11,9 +11,10 @@ from repro.parallel import (
     InMemoryComm,
     ParallelReasoner,
     PartitionWorker,
-    TupleBatch,
 )
 from repro.rdf import Graph, Triple, URI
+
+from tests.helpers import stripes, wire_batch
 
 
 def u(name):
@@ -45,10 +46,11 @@ class TestDuplicateDelivery:
         """Delivering the same batch twice (file systems do that) must not
         change the closure or provoke extra sends."""
         serial = HorstReasoner(tbox).materialize(chain)
-        worker = PartitionWorker(0, chain, TRANS, BroadcastRouter(2))
+        mine, peer = stripes(2, chain)
+        worker = PartitionWorker(0, chain, TRANS, BroadcastRouter(2), mine)
         worker.bootstrap()
-        batch = TupleBatch.make(
-            1, 0, 0, [Triple(u("n6"), u("p"), u("n7"))]
+        batch = wire_batch(
+            peer, 1, 0, 0, [Triple(u("n6"), u("p"), u("n7"))]
         )
         first = worker.step([batch])
         second = worker.step([batch])  # replay
@@ -62,10 +64,11 @@ class TestDuplicateDelivery:
         g = Graph()
         g.add_spo(u("a"), u("p"), u("b"))
         g.add_spo(u("b"), u("p"), u("c"))
-        worker = PartitionWorker(0, g, TRANS, BroadcastRouter(2))
+        mine, peer = stripes(2, g)
+        worker = PartitionWorker(0, g, TRANS, BroadcastRouter(2), mine)
         boot = worker.bootstrap()
         assert boot.sent_tuples == 1
-        echo = TupleBatch.make(1, 0, 0, list(boot.outgoing[0].triples))
+        echo = wire_batch(peer, 1, 0, 0, boot.outgoing[0].decode(peer))
         result = worker.step([echo])
         assert result.sent_tuples == 0
 
@@ -82,10 +85,12 @@ class TestReordering:
         # (The InMemoryComm delivers FIFO; a shuffled comm is equivalent
         # because workers union all received batches before reasoning.)
         comm = InMemoryComm(2)
-        comm.send(TupleBatch.make(0, 1, 0, [Triple(u("x"), u("p"), u("y"))]))
-        comm.send(TupleBatch.make(0, 1, 1, [Triple(u("y"), u("p"), u("z"))]))
+        sender, receiver = stripes(2)
+        comm.send(wire_batch(sender, 0, 1, 0, [Triple(u("x"), u("p"), u("y"))]))
+        comm.send(wire_batch(sender, 0, 1, 1, [Triple(u("y"), u("p"), u("z"))]))
         batches = comm.recv_all(1)
-        worker = PartitionWorker(1, Graph(), TRANS, BroadcastRouter(2))
+        worker = PartitionWorker(
+            1, Graph(), TRANS, BroadcastRouter(2), receiver)
         worker.bootstrap()
         result = worker.step(reversed(batches))
         assert Triple(u("x"), u("p"), u("z")) in worker.output_graph()
@@ -114,17 +119,17 @@ class TestCorruptTransport:
 
         comm = FileComm(2, tmp_path)
         (tmp_path / "README.txt").write_text("not a batch")
-        comm.send(TupleBatch.make(0, 1, 0, [Triple(u("a"), u("p"), u("b"))]))
+        comm.send(wire_batch(
+            stripes(2)[0], 0, 1, 0, [Triple(u("a"), u("p"), u("b"))]))
         received = comm.recv_all(1)
         assert len(received) == 1
         assert (tmp_path / "README.txt").exists()
 
     def test_file_comm_corrupt_batch_raises_cleanly(self, tmp_path):
         from repro.parallel import FileComm
-        from repro.rdf import NTriplesParseError
 
         comm = FileComm(2, tmp_path)
-        bad = tmp_path / "r000000_s0000_d0001_00000001.nt"
-        bad.write_text("THIS IS NOT NTRIPLES\n", encoding="utf-8")
-        with pytest.raises(NTriplesParseError):
+        bad = tmp_path / "r000000_s0000_d0001_00000001.pkl"
+        bad.write_text("THIS IS NOT A PICKLED BATCH\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="corrupt spool file"):
             comm.recv_all(1)

@@ -257,7 +257,7 @@ def test_mp_kill_recover_matches_serial(tbox, data, start_method, kill_env):
         dp.partitions, [crs.rules] * 3, "data",
         owner_table=dict(dp.owner.table),
         start_method=start_method, idle_timeout=60.0,
-        degrade="recover", with_stats=True,
+        degrade="recover",
     )
     assert result.graph == serial
     assert result.stats.worker_failures == 1
@@ -298,7 +298,7 @@ def test_mp_recovery_stats_exported_for_ci(tbox, data, kill_env, tmp_path):
     result = run_multiprocess_async(
         dp.partitions, [crs.rules] * 3, "data",
         owner_table=dict(dp.owner.table),
-        idle_timeout=60.0, degrade="recover", with_stats=True,
+        idle_timeout=60.0, degrade="recover",
     )
     assert result.graph == serial
     document = async_stats_to_json(result.stats)
@@ -363,7 +363,7 @@ def test_lockstep_still_correct_under_supervision(tbox, data):
         dp.partitions, [crs.rules] * 2, "data",
         owner_table=dict(dp.owner.table), idle_timeout=60.0,
     )
-    assert union == serial
+    assert union.graph == serial
 
 
 # --- shutdown escalation ------------------------------------------------------

@@ -414,7 +414,7 @@ def test_distributed_apply_matches_serial(approach, k, delivery):
         Triple(URI("n:4"), URI("ex:partOf"), URI("n:40")),
         Triple(URI("s:9"), RDF.type, URI("ex:Student")),
     ]
-    pr = ParallelReasoner(tbox, k=k, approach=approach, engine="columnar")
+    pr = ParallelReasoner(tbox, k=k, approach=approach)
     result = pr.apply_async(full, adds=adds, removes=removes,
                             delivery=delivery)
 
@@ -447,17 +447,3 @@ def test_distributed_apply_run_store():
     schema_closure = set(pr.compiled.schema) | set(tbox)
     assert (set(result.graph) - schema_closure
             == set(oracle.graph) - schema_closure)
-
-
-def test_removal_batch_requires_id_native_worker():
-    from repro.parallel.messages import RemovalBatch
-    from repro.parallel.routing import BroadcastRouter
-    from repro.parallel.worker import PartitionWorker
-
-    g = Graph([Triple(URI("n:a"), URI("ex:p"), URI("n:b"))])
-    w = PartitionWorker(0, g, TRANS, BroadcastRouter(2))
-    w.bootstrap()
-    batch = RemovalBatch.from_columns(
-        1, 0, 0, _cols([(0, 1, 2)]), retract_base=True)
-    with pytest.raises(RuntimeError, match="id-native"):
-        w.step([batch])

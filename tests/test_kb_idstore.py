@@ -187,8 +187,12 @@ def test_parallel_loaded_kb_maintains_like_a_serial_one(config, backend):
         dict(adds=[edge(3, 4), edge(8, 9)], removes=[edge(0, 1)]),
     ]
     parallel = MaterializedKB(_tbox(), **config)
-    parallel.bulk_load(data, parallel_k=3, engine="columnar",
-                       encode_wire=True, backend=backend)
+    parallel.bulk_load(data, parallel_k=3, backend=backend)
+    # Rows in, rows kept: the load never decoded the run's term union, and
+    # took the ids into its own dictionary (the workers stay on theirs).
+    run = parallel.last_parallel_run
+    assert run._view._graph is None
+    assert parallel.dictionary is not run.dictionary
     serial = MaterializedKB(_tbox(), **config)
     serial.bulk_load(data)
     assert parallel.graph == serial.graph
@@ -203,3 +207,39 @@ def test_parallel_loaded_kb_maintains_like_a_serial_one(config, backend):
     assert parallel.graph == serial.graph
     serial.rebuild()
     assert parallel.graph == serial.graph
+
+
+# --- production does not import the verifier ---------------------------------------
+
+_IMPORT_PROBE = """
+import sys
+import repro.owl.kb
+from repro.datasets import LUBM
+from repro.owl import MaterializedKB
+
+ds = LUBM(1, seed=0, departments_per_university=1,
+          faculty_per_department=1, students_per_faculty=1)
+serial = MaterializedKB(ds.ontology)
+serial.bulk_load(ds.data)
+parallel = MaterializedKB(ds.ontology)
+parallel.bulk_load(ds.data, parallel_k=2)
+assert parallel.size == serial.size > 0
+print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
+"""
+
+
+def test_loads_do_not_import_the_analysis_package():
+    """With sanitizing off, a serial and a parallel load build their
+    stores through `repro.rdf.stores.make_store` without pulling the
+    3.4K-line `repro.analysis` verifier package in."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -67,7 +67,7 @@ def test_multiprocess_data_partitioning_matches_serial(tbox, data, start_method)
         owner_table=dict(dp.owner.table),
         start_method=start_method,
     )
-    assert union == serial.graph
+    assert union.graph == serial.graph
 
 
 @pytest.mark.slow
@@ -83,7 +83,7 @@ def test_multiprocess_rule_partitioning_matches_serial(tbox, data, start_method)
         rule_sets=rp.rule_sets,
         start_method=start_method,
     )
-    assert union == serial.graph
+    assert union.graph == serial.graph
 
 
 @pytest.mark.slow
@@ -102,7 +102,7 @@ def test_multiprocess_async_matches_lockstep(tbox, data, start_method):
         dp.partitions, [crs.rules] * 2, "data",
         owner_table=table, start_method=start_method,
     )
-    assert asynchronous == lockstep
+    assert asynchronous.graph == lockstep.graph
 
 
 def test_mismatched_configuration_rejected(data):

@@ -13,9 +13,8 @@ from repro.parallel import (
     FileComm,
     InMemoryComm,
     RulePartitionRouter,
-    TupleBatch,
 )
-from repro.parallel.messages import DELTA_ENTRY_OVERHEAD, ROW_BYTES
+from repro.parallel.messages import DELTA_ENTRY_OVERHEAD, ROW_BYTES, RemovalBatch
 from repro.partitioning.base import TableOwner
 from repro.rdf import Graph, Literal, PartitionDictionary, TermDictionary, Triple, URI
 
@@ -25,34 +24,8 @@ def u(name):
 
 
 def batch(sender=0, dest=1, round_no=0, n=3):
-    triples = [Triple(u(f"s{i}"), u("p"), u(f"o{i}")) for i in range(n)]
-    return TupleBatch.make(sender, dest, round_no, triples)
-
-
-class TestTupleBatch:
-    def test_len(self):
-        assert len(batch(n=5)) == 5
-
-    def test_payload_bytes_matches_serialization(self):
-        b = batch()
-        assert b.payload_bytes() == len(b.serialize())
-
-    def test_serialize_parse_round_trip(self):
-        from repro.rdf import parse_ntriples
-
-        b = batch()
-        assert set(parse_ntriples(b.serialize())) == set(b.triples)
-
-    def test_serialization_is_cached(self):
-        b = batch()
-        # Identity, not equality: the second call must return the object
-        # computed by the first, proving payload_bytes() is O(1) after it.
-        assert b.serialize() is b.serialize()
-
-    def test_cache_invisible_to_equality(self):
-        a, b = batch(), batch()
-        a.serialize()
-        assert a == b
+    return EncodedBatch.make(
+        sender, dest, round_no, [(i, 100, 200 + i) for i in range(n)])
 
 
 class TestEncodedBatch:
@@ -153,7 +126,7 @@ class TestFileComm:
         assert comm.pending() == 1
         received = comm.recv_all(1)
         assert len(received) == 1
-        assert set(received[0].triples) == set(sent.triples)
+        assert received[0].rows() == sent.rows()
         assert received[0].sender == 0
         assert received[0].round_no == 0
         assert comm.pending() == 0
@@ -170,19 +143,26 @@ class TestFileComm:
         comm = FileComm(2, tmp_path)
         comm.send(batch(dest=1))
         comm.recv_all(1)
-        assert list(tmp_path.glob("*.nt")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_literals_survive_file_transport(self, tmp_path):
+        """The spool carries a batch whole: rows, the delta-dictionary
+        that makes them decodable (tricky literal included), and a
+        removal's flag."""
         comm = FileComm(2, tmp_path)
-        triples = [Triple(u("a"), u("p"), Literal('tricky "str"\n', language=None))]
-        comm.send(TupleBatch.make(0, 1, 0, triples))
-        received = comm.recv_all(1)
-        assert list(received[0].triples) == triples
-
-    def test_rejects_encoded_batches(self, tmp_path):
-        comm = FileComm(2, tmp_path)
-        with pytest.raises(TypeError):
-            comm.send(EncodedBatch.make(0, 1, 0, [(0, 1, 2)]))
+        tricky = Literal('tricky "str"\n', language=None)
+        comm.send(EncodedBatch.make(
+            0, 1, 0, [(0, 1, 7)], delta=[(7, tricky)]))
+        comm.send(RemovalBatch.from_columns(
+            0, 1, 1, (np.array([0]), np.array([1]), np.array([7])),
+            retract_base=True))
+        added, removed = comm.recv_all(1)
+        assert added.rows() == [(0, 1, 7)]
+        assert added.delta == ((7, tricky),)
+        assert added.payload_bytes() == ROW_BYTES + DELTA_ENTRY_OVERHEAD + len(
+            tricky.n3().encode("utf-8"))
+        assert isinstance(removed, RemovalBatch) and removed.retract_base
+        assert removed.rows() == [(0, 1, 7)]
 
 
 class TestDataPartitionRouter:

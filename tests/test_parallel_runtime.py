@@ -17,6 +17,8 @@ from repro.parallel import (
 from repro.partitioning.policies import HashPartitioningPolicy
 from repro.rdf import Graph, Triple, URI
 
+from tests.helpers import stripes, wire_batch
+
 
 def u(name):
     return URI(f"ex:{name}")
@@ -49,7 +51,8 @@ class TestPartitionWorker:
         base = Graph()
         base.add_spo(u("a"), u("p"), u("b"))
         base.add_spo(u("b"), u("p"), u("c"))
-        worker = PartitionWorker(0, base, TRANS_RULES, BroadcastRouter(2))
+        worker = PartitionWorker(
+            0, base, TRANS_RULES, BroadcastRouter(2), stripes(2, base)[0])
         result = worker.bootstrap()
         assert result.derived == 1
         assert result.sent_tuples == 1
@@ -58,11 +61,12 @@ class TestPartitionWorker:
     def test_step_ingests_and_extends(self):
         base = Graph()
         base.add_spo(u("a"), u("p"), u("b"))
-        worker = PartitionWorker(0, base, TRANS_RULES, BroadcastRouter(2))
+        mine, peer = stripes(2, base)
+        worker = PartitionWorker(0, base, TRANS_RULES, BroadcastRouter(2), mine)
         worker.bootstrap()
-        from repro.parallel import TupleBatch
-
-        incoming = TupleBatch.make(1, 0, 0, [Triple(u("b"), u("p"), u("c"))])
+        # ex:c is new to everyone: it travels in the batch's delta.
+        incoming = wire_batch(peer, 1, 0, 0, [Triple(u("b"), u("p"), u("c"))])
+        assert len(incoming.delta) == 1
         result = worker.step([incoming])
         assert result.received == 1
         assert Triple(u("a"), u("p"), u("c")) in worker.output_graph()
@@ -71,26 +75,29 @@ class TestPartitionWorker:
         base = Graph()
         base.add_spo(u("a"), u("p"), u("b"))
         base.add_spo(u("b"), u("p"), u("c"))
-        worker = PartitionWorker(0, base, TRANS_RULES, BroadcastRouter(2))
+        mine, peer = stripes(2, base)
+        worker = PartitionWorker(0, base, TRANS_RULES, BroadcastRouter(2), mine)
         first = worker.bootstrap()
-        from repro.parallel import TupleBatch
-
         # Re-delivering its own derivation must not cause a re-send.
-        echo = TupleBatch.make(1, 0, 0, list(first.outgoing[0].triples))
+        echo = wire_batch(peer, 1, 0, 0, first.outgoing[0].decode(peer))
         result = worker.step([echo])
         assert result.sent_tuples == 0
 
     def test_empty_step_is_cheap(self):
-        worker = PartitionWorker(0, Graph(), TRANS_RULES, BroadcastRouter(2))
+        worker = PartitionWorker(
+            0, Graph(), TRANS_RULES, BroadcastRouter(2), stripes(2)[0])
         worker.bootstrap()
         result = worker.step([])
         assert result.work == 0 and result.derived == 0
 
     def test_schema_replicated_to_worker(self, tbox):
+        """Schema triples handed to a worker as base data stay in its
+        output (the drivers replicate the schema at aggregation instead:
+        see test_result_graph_decodes_on_first_read)."""
         worker = PartitionWorker(
-            0, Graph(), TRANS_RULES, BroadcastRouter(2), schema=tbox
-        )
-        assert len(worker.output_graph()) == len(tbox)
+            0, tbox, TRANS_RULES, BroadcastRouter(2), stripes(2, tbox)[0])
+        worker.bootstrap()
+        assert worker.output_graph() == tbox
 
 
 class TestParallelReasonerDriver:
@@ -141,6 +148,26 @@ class TestParallelReasonerDriver:
             union.update(iter(g))
         for t in union:
             assert t in result.graph
+
+    def test_result_graph_decodes_on_first_read(self, tbox, chain_data):
+        """A run ends in id rows; the term graph is a view nobody pays
+        for until it is read, and then it is the old term union."""
+        pr = ParallelReasoner(tbox, k=2, approach="data")
+        result = pr.materialize(chain_data)
+        assert result._view._graph is None and result._node_outputs is None
+        old_union = Graph(pr.compiled.schema)
+        for worker in result.workers:
+            old_union.update(iter(worker.output_graph()))
+        assert len(result.store) == len(old_union)
+        assert result.graph == old_union
+        assert result.graph is result.graph  # decoded once
+
+    @pytest.mark.parametrize(
+        "knob", [{"engine": "compiled"}, {"encode_wire": False}])
+    def test_term_mode_knobs_rejected(self, tbox, knob):
+        with pytest.raises(ValueError, match="PR 21"):
+            ParallelReasoner(tbox, k=2, **knob)
+        ParallelReasoner(tbox, k=2, engine="columnar", encode_wire=True)
 
     def test_invalid_approach(self, tbox):
         with pytest.raises(ValueError):

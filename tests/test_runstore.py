@@ -392,10 +392,9 @@ class TestParallelRunStore:
             base.encode(t.s), base.encode(t.p), base.encode(t.o)
         w = PartitionWorker(
             0, data, compile_ontology(_mp_tbox()).rules, BroadcastRouter(1),
-            dictionary=PartitionDictionary(base, 0, 1), engine="columnar",
+            dictionary=PartitionDictionary(base, 0, 1),
             store="run", memory_budget_bytes=1 << 20,
         )
-        assert w.id_native
         assert isinstance(w._idgraph, RunStore)
         w.bootstrap()
         serial = HorstReasoner(_mp_tbox()).materialize(data)
@@ -411,7 +410,7 @@ class TestParallelRunStore:
             base.encode(t.s), base.encode(t.p), base.encode(t.o)
         w = PartitionWorker(
             0, data, compile_ontology(_mp_tbox()).rules, BroadcastRouter(1),
-            dictionary=PartitionDictionary(base, 0, 1), engine="columnar",
+            dictionary=PartitionDictionary(base, 0, 1),
             memory_budget_bytes=1 << 20,
         )
         assert w.store == "run"
@@ -420,9 +419,9 @@ class TestParallelRunStore:
     def test_parallel_closure_matches_term_reference(self):
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
-        ref = ParallelReasoner(tbox, k=3, encode_wire=True).materialize(mixed)
+        ref = ParallelReasoner(tbox, k=3).materialize(mixed)
         res = ParallelReasoner(
-            tbox, k=3, engine="columnar", store="run",
+            tbox, k=3, store="run",
             memory_budget_bytes=1 << 20,
         ).materialize(mixed)
         assert set(res.graph) == set(ref.graph)
@@ -430,9 +429,9 @@ class TestParallelRunStore:
     def test_async_shuffle_over_run_store(self):
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
-        ref = ParallelReasoner(tbox, k=3, encode_wire=True).materialize(mixed)
+        ref = ParallelReasoner(tbox, k=3).materialize(mixed)
         res = ParallelReasoner(
-            tbox, k=3, engine="columnar", store="run",
+            tbox, k=3, store="run",
             memory_budget_bytes=1 << 20,
         ).materialize_async(mixed, delivery="shuffle")
         assert set(res.graph) == set(ref.graph)

@@ -19,14 +19,13 @@ from repro.analysis.sanitize import (
     SanitizerError,
     check_ledger,
     check_stripe_disjointness,
-    make_store,
-    sanitize_enabled,
 )
 from repro.parallel.termination import CountingTermination
 from repro.rdf.dictionary import PartitionDictionary, TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph
 from repro.rdf.runstore import RunStore
+from repro.rdf.stores import make_store, sanitize_enabled
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 
@@ -260,9 +259,8 @@ def test_async_run_sanitized_matches_unsanitized():
     from repro.parallel.driver import ParallelReasoner
 
     tbox, data = _chain_inputs()
-    plain = ParallelReasoner(tbox, k=2, engine="columnar", encode_wire=True)
-    checked = ParallelReasoner(tbox, k=2, engine="columnar",
-                               encode_wire=True, sanitize=True)
+    plain = ParallelReasoner(tbox, k=2)
+    checked = ParallelReasoner(tbox, k=2, sanitize=True)
     assert set(plain.materialize_async(data).graph) == set(
         checked.materialize_async(data).graph
     )

@@ -120,6 +120,29 @@ class TestCaching:
                 rows_of(before, (X,))
             assert srv.stats.applied == 2
 
+    def test_kb_mints_apart_from_the_resident_workers(self, dataset):
+        """The workers' id stripes start where their shared base
+        dictionary ends, so it must never grow while they are resident;
+        the KB — which mints on every write — keeps its own."""
+        with KBServer.load(dataset.ontology, dataset.data, k=2) as srv:
+            workers = srv.kb.last_parallel_run.workers
+            base = workers[0].dictionary.base
+            assert all(w.dictionary.base is base for w in workers)
+            assert srv.kb.dictionary is not base
+            size = len(base)
+            # Never-seen subjects and a never-seen class: the round-robin
+            # propagation makes both workers mint ex:Fresh on their own.
+            fresh = [Triple(u(f"fresh{i}"), RDF.type, u("Fresh"))
+                     for i in range(4)]
+            srv.apply(adds=fresh)
+            assert len(base) == size == workers[0].dictionary.base_size
+            ids = {w.dictionary.get(u("Fresh")) for w in workers}
+            assert len(ids) == 2 and min(ids) >= size
+            got = srv.query([Atom(X, RDF.type, u("Fresh"))])
+            assert {row[X] for row in got} == {t.s for t in fresh}
+            everything = srv.query([Atom(u("fresh0"), RDF.type, Y)])
+            assert {row[Y] for row in everything} == {u("Fresh")}
+
     def test_writes_serialize_with_reads(self, dataset):
         """A read submitted after a write observes the applied state
         (both ride the same queue)."""
@@ -199,15 +222,6 @@ class TestAdmissionControl:
             KBServer(kb, capacity=0)
         with pytest.raises(ValueError, match="batch_size"):
             KBServer(kb, batch_size=0)
-
-    def test_term_workers_rejected(self, dataset):
-        from repro.parallel import ParallelReasoner
-
-        pr = ParallelReasoner(dataset.ontology, k=2, approach="data")
-        result = pr.materialize(dataset.data)
-        kb = MaterializedKB(dataset.ontology)
-        with pytest.raises(ValueError, match="id-native"):
-            KBServer(kb, workers=result.workers)
 
 
 class TestLifecycle:

@@ -112,9 +112,13 @@ class TestEquivalenceWithInMemory:
         parallel closure as the in-memory path."""
         from repro.owl import HorstReasoner
         from repro.owl.compiler import compile_ontology
+        from repro.parallel.aggregate import gather_rows
+        from repro.parallel.comm import InMemoryComm
+        from repro.parallel.driver import run_rounds
         from repro.parallel.routing import DataPartitionRouter
         from repro.parallel.worker import PartitionWorker
-        from repro.parallel.comm import InMemoryComm
+        from repro.rdf.dictionary import decode_rows
+        from tests.helpers import stripes
         from repro.partitioning.base import HashOwner
 
         ds, path = lubm_file
@@ -128,32 +132,20 @@ class TestEquivalenceWithInMemory:
 
         vocab = default_vocabulary(ds.data)
         router = DataPartitionRouter(owner, vocabulary=frozenset(vocab))
-        workers = [
-            PartitionWorker(
-                node_id=i,
-                base=Graph(parse_ntriples(
-                    report.partition_files[i].read_text(encoding="utf-8")
-                )),
-                rules=crs.rules,
-                router=router,
-            )
+        bases = [
+            Graph(parse_ntriples(
+                report.partition_files[i].read_text(encoding="utf-8")))
             for i in range(k)
         ]
-        comm = InMemoryComm(k)
-        results = [w.bootstrap() for w in workers]
-        for r in results:
-            for b in r.outgoing:
-                comm.send(b)
-        for _ in range(1000):
-            if comm.pending() == 0:
-                break
-            results = [w.step(comm.recv_all(w.node_id)) for w in workers]
-            for r in results:
-                for b in r.outgoing:
-                    comm.send(b)
-        union = Graph()
-        for w in workers:
-            union.update(iter(w.output_graph()))
+        dictionaries = stripes(k, *bases, rules=crs.rules)
+        workers = [
+            PartitionWorker(node_id=i, base=bases[i], rules=crs.rules,
+                            router=router, dictionary=dictionaries[i])
+            for i in range(k)
+        ]
+        run_rounds(workers, InMemoryComm(k), max_rounds=1000)
+        dictionary, store = gather_rows(workers)
+        union = Graph(decode_rows(dictionary, *store.columns()))
 
         serial = HorstReasoner(ds.ontology).materialize(ds.data)
         assert union == serial.graph
