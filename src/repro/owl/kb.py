@@ -33,7 +33,9 @@ frequency of data being added is much smaller than that of queries"
 :class:`~repro.datalog.columnar.ColumnarEngine` over them — the shape the
 partition worker (:class:`~repro.parallel.worker.PartitionWorker`) has.
 Terms exist only at the boundary: input triples are encoded once on the
-way in; :attr:`~MaterializedKB.graph`, :attr:`~MaterializedKB.base_graph`,
+way in (or arrive encoded, as the id columns
+:func:`~repro.rdf.ntriples.read_rows` reads from N-Triples text);
+:attr:`~MaterializedKB.graph`, :attr:`~MaterializedKB.base_graph`,
 :meth:`~MaterializedKB.match`, query bindings and
 :class:`ApplyResult` are decoded on the way out, on demand.  Reads never
 mint dictionary ids; the dictionary itself never forgets a term (a
@@ -45,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, Literal
+
+import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
 from repro.datalog.columnar import ColumnarEngine, Columns, IdStore
@@ -85,6 +89,11 @@ def _spo(triples: Iterable[Triple]) -> Iterator[tuple[Term, Term, Term]]:
         if not isinstance(t, Triple):
             raise TypeError(f"expected Triple, got {type(t).__name__}")
         yield t.s, t.p, t.o
+
+
+def _is_rows(data: object) -> bool:
+    return (isinstance(data, tuple) and len(data) == 3
+            and all(isinstance(col, np.ndarray) for col in data))
 
 
 class MaterializedKB:
@@ -167,20 +176,49 @@ class MaterializedKB:
         self._last_load_stats = stats
         return len(fresh[0])
 
-    def add(self, triples: Iterable[Triple]) -> int:
-        """Load triples and incrementally re-close.  Returns the number of
-        *base* triples that were new; consequences are materialized as a
-        side effect (see :attr:`last_load_stats` for their count)."""
+    def _checked_rows(self, rows: Columns) -> Columns:
+        """``rows`` if they are well-formed id rows of :attr:`dictionary` —
+        what ``Triple`` construction checks for term input."""
+        s, p, o = rows
+        if not (s.dtype == p.dtype == o.dtype == np.int64
+                and s.ndim == 1 and s.shape == p.shape == o.shape):
+            raise TypeError(
+                "id rows are three int64 columns of one length, got "
+                f"{[(c.dtype.name, c.shape) for c in rows]}")
+        if len(s):
+            n = len(self._dictionary)
+            if min(s.min(), p.min(), o.min()) < 0 or \
+                    max(s.max(), p.max(), o.max()) >= n:
+                raise ValueError(
+                    f"id rows name ids outside this KB's dictionary [0, {n}); "
+                    "encode them with kb.dictionary")
+            if not (self._dictionary.resource_mask(s).all()
+                    and self._dictionary.uri_mask(p).all()):
+                raise TypeError(
+                    "id rows need URI/BNode subjects and URI predicates")
+        return rows
+
+    def add(self, triples: Iterable[Triple] | Columns) -> int:
+        """Load triples — or ``(s, p, o)`` id columns encoded with
+        :attr:`dictionary` — and incrementally re-close.  Returns the
+        number of *base* triples that were new; consequences are
+        materialized as a side effect (see :attr:`last_load_stats` for
+        their count)."""
+        if _is_rows(triples):
+            return self._load(self._checked_rows(triples))
         return self._load(encode_rows(self._dictionary, _spo(triples)))
 
     def bulk_load(
         self,
-        graph: Graph,
+        graph: Graph | Columns,
         parallel_k: int | None = None,
         approach: Literal["data", "rule"] = "data",
         backend: Literal["bsp", "async"] = "bsp",
     ) -> None:
-        """Initial load of a whole graph.
+        """Initial load of a whole graph, or of the ``(s, p, o)`` id
+        columns :func:`~repro.rdf.ntriples.read_rows` read with
+        :attr:`dictionary` (serial only: the partitioners still take a
+        term ``Graph``).
 
         ``parallel_k`` delegates materialization to the paper's
         :class:`~repro.parallel.driver.ParallelReasoner`; the closed result
@@ -199,6 +237,13 @@ class MaterializedKB:
         id stripes start where it ends, so it must not grow, and this
         KB's keeps minting.
         """
+        if _is_rows(graph):
+            if parallel_k is not None:
+                raise NotImplementedError(
+                    "parallel bulk_load partitions a term Graph; id rows "
+                    "load serially (parallel_k=None)")
+            self._load(self._checked_rows(graph))
+            return
         if parallel_k is None:
             self._load(encode_rows(self._dictionary, graph.spo_items()))
             return

@@ -26,7 +26,11 @@ from typing import Callable, TextIO
 
 from repro.owl.vocabulary import RDF, is_schema_triple
 from repro.partitioning.base import HashOwner
-from repro.rdf.ntriples import parse_ntriples_line, triple_to_ntriples
+from repro.rdf.ntriples import (
+    NTriplesParseError,
+    parse_ntriples_line,
+    triple_to_ntriples,
+)
 from repro.rdf.terms import Term, is_resource
 from repro.util.timing import Stopwatch
 
@@ -137,7 +141,7 @@ def stream_partition(
             for lineno, line in enumerate(fh, start=1):
                 try:
                     triple = parse_ntriples_line(line, lineno)
-                except Exception:
+                except NTriplesParseError:
                     if strict:
                         raise
                     skipped += 1

@@ -33,6 +33,7 @@ from repro.rdf.ntriples import (
     NTriplesParseError,
     parse_ntriples,
     parse_ntriples_line,
+    read_rows,
     serialize_ntriples,
     triple_to_ntriples,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "run_sparql",
     "parse_ntriples",
     "parse_ntriples_line",
+    "read_rows",
     "serialize_ntriples",
     "triple_to_ntriples",
 ]

@@ -51,6 +51,28 @@ class TestParsing:
         doc = "\n# a comment\n<ex:a> <ex:p> <ex:b> .\n\n"
         assert len(list(parse_ntriples(doc))) == 1
 
+    @pytest.mark.parametrize("tag", ["en", "en-GB", "zh-Hant-TW", "x-1a2b"])
+    def test_language_tag_grammar(self, tag):
+        t = parse_ntriples_line(f'<ex:a> <ex:p> "x"@{tag} .')
+        assert t.o == Literal("x", language=tag)
+        assert t.o.language == tag.lower()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "<ex:a> <ex:p> <ex:b> . # note",
+            "<ex:a> <ex:p> <ex:b> .# note",
+            "<ex:a> <ex:p> <ex:b> .\t#",
+        ],
+    )
+    def test_comment_after_the_terminator(self, line):
+        assert parse_ntriples_line(line) == Triple(
+            URI("ex:a"), URI("ex:p"), URI("ex:b"))
+
+    def test_surrogate_neighbours_still_parse(self):
+        t = parse_ntriples_line(r'<ex:a> <ex:p> "\uD7FF\uE000" .')
+        assert t.o.lexical == "\ud7ff\ue000"
+
     def test_extra_whitespace_tolerated(self):
         t = parse_ntriples_line("  <ex:a>   <ex:p>\t<ex:b>   .  ")
         assert t is not None
@@ -72,11 +94,26 @@ class TestMalformed:
             "<ex:a> <ex:p> <ex b> .",  # space inside IRI
             "_: <ex:p> <ex:b> .",  # empty bnode label
             '<ex:a> <ex:p> "x"@ .',  # empty language tag
+            "<> <ex:p> <ex:o> .",  # empty IRI (was a bare ValueError)
+            '<ex:a> <ex:p> "x"^^<> .',  # empty datatype IRI (ditto)
+            r'<ex:a> <ex:p> "\uD800" .',  # lone surrogate: not UTF-8 writable
+            r'<ex:a> <ex:p> "\uDFFF" .',
+            r'<ex:a> <ex:p> "\U0000DC00" .',
+            r"<ex:a\uD800> <ex:p> <ex:o> .",  # ... in an IRI too
+            '<ex:a> <ex:p> "x"@- .',  # language tag: [a-zA-Z]+(-[a-zA-Z0-9]+)*
+            '<ex:a> <ex:p> "x"@en- .',
+            '<ex:a> <ex:p> "x"@en--gb .',
+            '<ex:a> <ex:p> "x"@1en .',
+            '<ex:a> <ex:p> "x"@\u00e9 .',  # isalnum() but not ASCII
+            '<ex:a> <ex:p> "x"@en\u00e9 .',
+            "<ex:a> <ex:p> <ex:b> . <ex:c> # not only a comment",
         ],
     )
     def test_raises_parse_error(self, line):
-        with pytest.raises(NTriplesParseError):
-            parse_ntriples_line(line)
+        with pytest.raises(NTriplesParseError) as info:
+            parse_ntriples_line(line, 7)
+        assert info.value.lineno == 7
+        assert type(info.value) is NTriplesParseError
 
     def test_error_carries_line_number(self):
         doc = "<ex:a> <ex:p> <ex:b> .\nBROKEN\n"
