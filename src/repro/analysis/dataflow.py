@@ -115,8 +115,9 @@ class StripeRule:
 
     ``allowed`` holds the qualnames permitted to compute
     ``... + <j> * k + node_id``-shaped expressions; the canonical minting
-    site is ``PartitionDictionary.encode``, plus the epoch-revive paths
-    that derive a worker's *stripe index* (not a term id) the same way.
+    site is ``PartitionDictionary.encode``, plus ``ClusterSpec.worker``,
+    which derives a worker incarnation's *stripe index* (not a term id)
+    the same way.
     """
 
     module: str
@@ -319,13 +320,15 @@ STRIPE_RULES: tuple[StripeRule, ...] = (
         module="repro.rdf.dictionary",
         allowed=_fs("PartitionDictionary.encode"),
     ),
-    # Epoch revival derives the replacement worker's *stripe index*
-    # (node + epoch*k) with the same arithmetic shape; both revive paths
-    # are audited here so a third copy of the formula fails loudly.
+    # A worker incarnation's *stripe index* (node + epoch*k) has the same
+    # arithmetic shape; the cluster spec's node factory is the one place
+    # it is computed, so a second copy in any executor fails loudly.
     StripeRule(
-        module="repro.parallel.async_backend",
-        allowed=_fs("run_async_inprocess._revive", "_make_logical_worker"),
+        module="repro.parallel.cluster", allowed=_fs("ClusterSpec.worker")
     ),
+    StripeRule(module="repro.parallel.async_backend"),
+    StripeRule(module="repro.parallel.mp_backend"),
+    StripeRule(module="repro.parallel.hybrid"),
     StripeRule(module="repro.parallel.worker"),
     StripeRule(module="repro.parallel.driver"),
     StripeRule(module="repro.datalog.columnar"),

@@ -489,7 +489,11 @@ def _wire_examples() -> dict[str, object]:
     whole runtime).  One example per class is enough: the probe checks the
     *mechanism* (``__reduce__``/dataclass pickling), not the data.
     """
+    import numpy as np
+
     from repro.datalog.ast import Atom, Rule
+    from repro.datalog.engine import EngineStats
+    from repro.parallel.cluster import ClusterSpec
     from repro.parallel.messages import (
         Adopt,
         Deliver,
@@ -500,6 +504,9 @@ def _wire_examples() -> dict[str, object]:
         Produced,
         Stop,
     )
+    from repro.parallel.routing import DataPartitionRouter
+    from repro.partitioning.base import HashOwner
+    from repro.rdf.graph import Graph
     from repro.rdf.terms import BNode, Literal, URI, Variable
     from repro.rdf.triple import Triple
 
@@ -507,7 +514,13 @@ def _wire_examples() -> dict[str, object]:
     triple = Triple(s, p, o)
     atom = Atom(Variable("x"), p, Variable("y"))
     rule = Rule("r", (Atom(Variable("x"), p, Variable("y")),), atom)
+    ids = np.asarray([0, 1, 2], dtype=np.int64)
     return {
+        # What every worker process receives: the whole spec, router
+        # object (here an owner function with a salt) included.
+        "repro.parallel.cluster.ClusterSpec": ClusterSpec.build(
+            [Graph([triple])], [[rule]],
+            DataPartitionRouter(HashOwner(1, salt=7))),
         "repro.rdf.terms.URI": s,
         "repro.rdf.terms.BNode": BNode("b0"),
         "repro.rdf.terms.Literal": Literal("v"),
@@ -520,11 +533,12 @@ def _wire_examples() -> dict[str, object]:
         ),
         "repro.parallel.messages.Heartbeat": Heartbeat(0, 0, 1),
         "repro.parallel.messages.Produced": Produced(0, 0, (), 1),
-        "repro.parallel.messages.OutputMsg": OutputMsg(0, 0, (triple,)),
+        "repro.parallel.messages.OutputMsg": OutputMsg(
+            0, 0, ids, ids, ids, ((2, o),), EngineStats()),
         # Payloads are probed under their own class (EncodedBatch compares
         # by identity, which would mask Deliver's own round trip).
         "repro.parallel.messages.Deliver": Deliver(None),
-        "repro.parallel.messages.Adopt": Adopt(0, 1, None),
+        "repro.parallel.messages.Adopt": Adopt(0, 1),
         "repro.parallel.messages.Finish": Finish(),
         "repro.parallel.messages.Stop": Stop(),
     }

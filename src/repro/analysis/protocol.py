@@ -154,14 +154,15 @@ ASYNC_PROTOCOL = ProtocolSpec(
         ),
     ),
     ledger=(
+        # The two in-process executors share one run object
+        # (`_InProcessRun`): one emit, one drain, one revive.
         LedgerRule(
             _ASYNC,
             "record_forward",
             frozenset(
                 {
-                    "run_async_inprocess._emit",
-                    "run_async_inprocess._revive",
-                    "run_apply_inprocess._emit",
+                    "_InProcessRun.emit",
+                    "_InProcessRun._revive",
                     "run_multiprocess_async.relay",
                     "run_multiprocess_async.recover",
                 }
@@ -170,13 +171,7 @@ ASYNC_PROTOCOL = ProtocolSpec(
         LedgerRule(
             _ASYNC,
             "record_delivery",
-            frozenset(
-                {
-                    "run_async_inprocess",
-                    "run_async_inprocess._revive",
-                    "run_apply_inprocess._drain",
-                }
-            ),
+            frozenset({"_InProcessRun.drain", "_InProcessRun._revive"}),
         ),
         LedgerRule(
             _ASYNC, "record_ack", frozenset({"run_multiprocess_async"})
@@ -185,7 +180,7 @@ ASYNC_PROTOCOL = ProtocolSpec(
             _ASYNC,
             "reset_node",
             frozenset(
-                {"run_async_inprocess._revive", "run_multiprocess_async.recover"}
+                {"_InProcessRun._revive", "run_multiprocess_async.recover"}
             ),
         ),
         LedgerRule(
@@ -193,16 +188,14 @@ ASYNC_PROTOCOL = ProtocolSpec(
             "mark_bootstrapped",
             frozenset(
                 {
-                    "run_async_inprocess",
-                    "run_async_inprocess._revive",
-                    "run_apply_inprocess",
+                    "_InProcessRun.__init__",
+                    "_InProcessRun._revive",
                     "run_multiprocess_async",
                 }
             ),
         ),
     ),
 )
-
 
 def spec_table(spec: ProtocolSpec = ASYNC_PROTOCOL) -> str:
     """The spec's message table as markdown (for docs and ``--spec``)."""

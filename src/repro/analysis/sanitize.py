@@ -14,7 +14,7 @@ invariants the closure silently relies on —
 * tombstone/resurrection consistency after ``add_rows``/``delete_rows``
   (``insert-visibility``/``delete-visibility``/``tombstone-*``),
 * stripe disjointness of minted term ids across workers and epochs
-  (``stripe-*``), and
+  (``stripe-*``), checked at every executor's gather, and
 * Safra ledger conservation — sent == received + outstanding has drained
   — at async termination (``ledger-*``).
 
@@ -51,6 +51,7 @@ from repro.rdf.runstore import RunStore
 from repro.util.seeding import rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.parallel.messages import OutputMsg
     from repro.parallel.termination import CountingTermination
     from repro.rdf.dictionary import PartitionDictionary
     from repro.rdf.runstore import _OrderIndex, _Run
@@ -558,6 +559,24 @@ def check_stripe_disjointness(
                     "stripe-roundtrip",
                     f"minted id {tid} decodes to {term!r} but that term "
                     f"encodes to {d._to_id.get(term)!r} in dictionary {i}",
+                )
+
+
+def check_minted_ids(outputs: Sequence["OutputMsg"]) -> None:
+    """Stripe disjointness as the master sees it at the gather: across
+    every node's :class:`~repro.parallel.messages.OutputMsg` delta, one
+    non-base id names one term — two stripes that overlapped would hand
+    the same id to two different terms."""
+    seen: dict[int, tuple[object, int]] = {}
+    for out in outputs:
+        for tid, term in out.delta:
+            first = seen.setdefault(tid, (term, out.node_id))
+            if first[0] != term:
+                raise SanitizerError(
+                    "OutputMsg",
+                    "stripe-disjoint",
+                    f"id {tid} names {first[0]!r} on node {first[1]} but "
+                    f"{term!r} on node {out.node_id}",
                 )
 
 

@@ -260,15 +260,12 @@ class MaterializedKB:
                                     approach=approach)
         if backend == "async":
             result = reasoner.materialize_async(graph)
-            engine_stats = EngineStats()
-            for worker in result.workers:
-                engine_stats.merge(worker.engine_stats)
         elif backend == "bsp":
             result = reasoner.materialize(graph)
-            engine_stats = result.engine_stats
         else:
             raise ValueError(
                 f'backend must be "bsp" or "async", got {backend!r}')
+        engine_stats = result.engine_stats
         self._last_parallel_run = result
         self._base.add_rows(*encode_rows(self._dictionary, graph.spo_items()))
         remap = self._dictionary.encode_many(result.dictionary.terms())

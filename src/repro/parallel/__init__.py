@@ -12,11 +12,19 @@ Layers, bottom up:
   body-atom-match routing (rule partitioning), broadcast (ablation).
 * :mod:`repro.parallel.worker` — one partition's loop over its id store:
   local fixpoint, route fresh rows, ingest incoming rows.
-* :mod:`repro.parallel.aggregate` — the final aggregation: worker rows
-  into one ``(dictionary, store)``, terms decoded only on read.
+* :mod:`repro.parallel.cluster` — the master's one partitioning decision
+  (:class:`ClusterSpec`): each node's partition and rules, the router
+  object, the replicated schema, the store settings and the
+  :class:`SupervisionPolicy`.  Every executor below takes a spec, and its
+  :meth:`~ClusterSpec.worker` is the only place a node is built.
+* :mod:`repro.parallel.aggregate` — the final aggregation: every node's
+  rows plus the terms of the ids it minted
+  (:class:`~repro.parallel.messages.OutputMsg`, shipped or built from a
+  resident worker) into one ``(dictionary, store)``, terms decoded only
+  on read.
 * :mod:`repro.parallel.driver` — the synchronous-rounds master
-  (:class:`ParallelReasoner`): partition, scatter, iterate rounds to global
-  termination, aggregate.  Runs workers in-process.
+  (:class:`ParallelReasoner`): partition into a spec, iterate rounds to
+  global termination, aggregate.  Runs workers in-process.
 * :mod:`repro.parallel.costmodel` / :mod:`repro.parallel.simulated` — the
   cluster *simulation*: per-partition reasoning is measured for real (wall
   time + deterministic work units); IO/sync/aggregation are computed from
@@ -28,12 +36,13 @@ Layers, bottom up:
   oracle for the async backend).
 * :mod:`repro.parallel.termination` — Safra-style sent/received counting
   for barrier-free global-quiescence detection.
-* :mod:`repro.parallel.async_backend` — the round-free executor: workers
-  reason over batches as they arrive, in-process (with controllable delivery order)
-  or across real processes.
+* :mod:`repro.parallel.async_backend` — the round-free executors: workers
+  reason over batches as they arrive, in-process (with controllable
+  delivery order, and cluster-wide DRed) or across real processes.
 * :mod:`repro.parallel.supervisor` — worker liveness, typed
   :class:`WorkerFailure` diagnosis of crashes/hangs, and the
-  ledger-replay recovery policy (:class:`SupervisionPolicy`).
+  ledger-replay recovery policy (:class:`SupervisionPolicy`, the only
+  failure-handling configuration, carried by the spec).
 * :mod:`repro.parallel.faults` — deterministic fault injection: per-node
   kill/freeze and per-channel drop/duplicate/delay plans for the
   in-process executor, and an env-triggered hard-exit for the
@@ -49,7 +58,8 @@ from repro.parallel.routing import (
     RulePartitionRouter,
 )
 from repro.parallel.worker import PartitionWorker, RoundResult
-from repro.parallel.driver import ParallelReasoner, ParallelRunResult
+from repro.parallel.cluster import ClusterSpec, build_base_dictionary
+from repro.parallel.driver import ParallelReasoner, ParallelRunResult, run_rounds
 from repro.parallel.costmodel import CostModel
 from repro.parallel.simulated import SimulatedCluster, SimulatedRun
 from repro.parallel.stats import NodeRoundStats, RunStats
@@ -59,10 +69,11 @@ from repro.parallel.stats import AsyncRunStats
 from repro.parallel.termination import CountingTermination
 from repro.parallel.async_backend import (
     AsyncRunResult,
-    build_base_dictionary,
+    run_apply_inprocess,
     run_async_inprocess,
     run_multiprocess_async,
 )
+from repro.parallel.mp_backend import run_multiprocess
 from repro.parallel.supervisor import (
     INJECTED_EXIT_CODE,
     FailureRecord,
@@ -79,8 +90,12 @@ __all__ = [
     "AsyncRunResult",
     "CountingTermination",
     "build_base_dictionary",
+    "ClusterSpec",
+    "run_rounds",
     "run_async_inprocess",
+    "run_apply_inprocess",
     "run_multiprocess_async",
+    "run_multiprocess",
     "WorkerFailure",
     "FailureRecord",
     "SupervisionPolicy",

@@ -1,6 +1,6 @@
 """The master's one remaining job — "the master node itself has no role
 to play once the initial partition is done" (Section IV) except the final
-aggregation: the workers' id rows become one ``(TermDictionary, IdGraph)``.
+aggregation: the nodes' id rows become one ``(TermDictionary, IdGraph)``.
 No term is materialized here; :class:`RunOutput` decodes on first read.
 """
 
@@ -8,38 +8,43 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.datalog.engine import EngineStats
 from repro.rdf.dictionary import TermDictionary, encode_rows, lookup_rows
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, concat_columns
 from repro.rdf.stores import TermView
-from repro.rdf.triple import Triple
 
 if TYPE_CHECKING:
+    from repro.parallel.cluster import ClusterSpec
+    from repro.parallel.messages import OutputMsg
     from repro.parallel.worker import PartitionWorker
 
 
 def gather_rows(
-    workers: "Sequence[PartitionWorker]", *schema_graphs: Graph
-) -> tuple[TermDictionary, IdGraph]:
-    """Union the workers' stores (plus the replicated ``schema_graphs``)
-    into one id store.
+    spec: "ClusterSpec", outputs: "Iterable[OutputMsg]"
+) -> tuple[TermDictionary, IdGraph, EngineStats]:
+    """Union the nodes' rows (plus the spec's replicated schema graphs)
+    into one id store, and sum the nodes' engine counters.
 
+    Every executor ends here, with one
+    :class:`~repro.parallel.messages.OutputMsg` per node: built from the
+    resident workers in process, or received from the worker processes.
     Rows whose ids all lie in the shared base stripe are comparable as
-    they are.  Above it each worker minted in a private stripe, and two
-    workers may hold *different* ids for one term, so such rows are
-    re-keyed through the owning worker's dictionary before the dedup.
+    they are.  Above it each node minted in a private stripe, and two
+    nodes may hold *different* ids for one term, so such rows are
+    re-keyed through the node's ``(id, term)`` delta before the dedup.
 
-    The workers stay resident on the shared base dictionary, whose size
-    their stripes start at — it must never grow under them.  When every
-    id is a base id (the common case: the base was seeded with the rules
-    and the schema) the base itself is returned, untouched; the first
-    term that needs minting switches to a private copy.  Callers must
-    likewise not mint into the returned dictionary.
+    In-process workers stay resident on the shared base dictionary,
+    whose size their stripes start at — it must never grow under them.
+    When every id is a base id (the common case: the base was seeded with
+    the rules and the schema) the base itself is returned, untouched; the
+    first term that needs minting switches to a private copy.  Callers
+    must likewise not mint into the returned dictionary.
     """
-    shared = workers[0].dictionary
-    base = shared.base
-    base_size = shared.base_size
+    base = spec.base
+    base_size = len(base)
     dictionary = base
+    engine_stats = EngineStats()
 
     def minting() -> TermDictionary:
         nonlocal dictionary
@@ -47,17 +52,29 @@ def gather_rows(
             dictionary = TermDictionary.from_terms(base.terms())
         return dictionary
 
+    outputs = list(outputs)
     parts = []
-    for worker in workers:
-        s, p, o = worker.output_rows()
+    for out in outputs:
+        engine_stats.merge(out.engine_stats)
+        s, p, o = out.s, out.p, out.o
         minted = (s >= base_size) | (p >= base_size) | (o >= base_size)
         if minted.any():
-            decode = worker.dictionary.decode_many
+            terms = dict(out.delta)
+            decode = base.decode
+
+            def term_of(ids):
+                return [terms[i] if i >= base_size else decode(i)
+                        for i in ids.tolist()]
+
             parts.append(encode_rows(minting(), zip(
-                decode(s[minted]), decode(p[minted]), decode(o[minted]))))
+                term_of(s[minted]), term_of(p[minted]), term_of(o[minted]))))
             s, p, o = s[~minted], p[~minted], o[~minted]
         parts.append((s, p, o))
-    for graph in schema_graphs:
+    if spec.sanitize:
+        from repro.analysis.sanitize import check_minted_ids
+
+        check_minted_ids(outputs)
+    for graph in spec.schema_graphs:
         rows = lookup_rows(dictionary, graph.spo_items())
         if len(rows[0]) < len(graph):  # a term the base never saw
             rows = encode_rows(minting(), graph.spo_items())
@@ -65,21 +82,7 @@ def gather_rows(
     s, p, o = concat_columns(parts)
     store = IdGraph(capacity=len(s))
     store.add_rows(s, p, o)
-    return dictionary, store
-
-
-def encode_outputs(
-    dictionary: TermDictionary,
-    outputs: Iterable[Iterable[Triple]],
-    *schema_graphs: Graph,
-) -> IdGraph:
-    """The multiprocess executors' route to the same result: their
-    workers ship term triples (``OutputMsg``), which the master encodes
-    into ``dictionary`` — its own, no worker lives in this process."""
-    store = IdGraph()
-    for triples in (*outputs, *schema_graphs):
-        store.add_rows(*encode_rows(dictionary, triples))
-    return store
+    return dictionary, store, engine_stats
 
 
 class RunOutput:
@@ -98,6 +101,7 @@ class RunOutput:
         dictionary: TermDictionary | None = None,
         store: IdGraph | None = None,
         workers: "Sequence[PartitionWorker]" = (),
+        engine_stats: EngineStats | None = None,
     ) -> None:
         self.dictionary = dictionary
         self.store = store
@@ -106,6 +110,13 @@ class RunOutput:
         #: straight from their stores).  Empty for multiprocess runs,
         #: whose workers died with their host processes.
         self.workers = list(workers)
+        #: Cluster-wide engine counters: the sum of every node's
+        #: fixpoint stats, so a parallel load reports the same six-field
+        #: accounting a serial :class:`~repro.datalog.columnar.
+        #: ColumnarEngine` run would (the backward bootstrap contributes
+        #: only to the per-round ``work`` scalar, not here).
+        self.engine_stats = (
+            engine_stats if engine_stats is not None else EngineStats())
         self._graph = graph
         self._view = TermView()
         self._node_outputs: list[Graph] | None = None
@@ -125,3 +136,4 @@ class RunOutput:
         if self._node_outputs is None:
             self._node_outputs = [w.output_graph() for w in self.workers]
         return self._node_outputs
+

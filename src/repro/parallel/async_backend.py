@@ -11,14 +11,17 @@ its peers, and the master detects global quiescence with Safra-style
 sent/received counting (:class:`repro.parallel.termination.CountingTermination`)
 instead of a barrier.
 
-Everything on the wire is id-encoded: the master builds one base
+Everything on the wire is id-encoded: the cluster spec
+(:class:`~repro.parallel.cluster.ClusterSpec`) carries one base
 :class:`~repro.rdf.dictionary.TermDictionary` over the input KB, each
 worker extends it through a private :class:`~repro.rdf.dictionary.PartitionDictionary`
 stripe, and batches travel as flat int64 ``(s, p, o)`` rows plus a
 once-per-peer delta-dictionary for newly minted terms
-(:class:`~repro.parallel.messages.EncodedBatch`).
+(:class:`~repro.parallel.messages.EncodedBatch`).  Every executor takes
+that one spec — the same partitions, rules and router object the BSP
+rounds run.
 
-Two executors share the protocol:
+Three executors share the protocol:
 
 * :func:`run_async_inprocess` — workers as in-process objects, deliveries
   drained from one pending pool.  ``delivery="shuffle"`` pops that pool in
@@ -26,23 +29,26 @@ Two executors share the protocol:
   deterministic vehicle for proving termination is delivery-order
   independent.  A :class:`~repro.parallel.faults.FaultPlan` can kill or
   freeze workers and drop/duplicate/delay batches deterministically.
-* :func:`run_multiprocess_async` — one OS process per partition.  The
-  master relays each produced batch the moment it arrives; workers block
-  on their inbox, not on a round barrier.
+* :func:`run_apply_inprocess` — the same set-up and drain, then
+  cluster-wide delete-and-rederive.
+* :func:`run_multiprocess_async` — one OS process per partition, each
+  holding the whole spec.  The master relays each produced batch the
+  moment it arrives; workers block on their inbox, not on a round
+  barrier, and end by shipping their rows
+  (:class:`~repro.parallel.messages.OutputMsg`).
 
-Both executors are *supervised* (:mod:`repro.parallel.supervisor`): a
+The executors are *supervised* (:mod:`repro.parallel.supervisor`): a
 crashed, killed, or frozen worker surfaces as a typed
 :class:`~repro.parallel.supervisor.WorkerFailure` instead of a silent
-hang, and under ``degrade="recover"`` the master re-runs the lost node's
-partition — from its input triples plus the replay of every batch the
-master ever relayed to it (the counting-termination ledger records
-exactly that) — on a fresh worker incarnation with a bumped *epoch*.
+hang, and under the spec's ``SupervisionPolicy(degrade="recover")`` the
+master re-runs the lost node's partition — from its input triples plus the replay of every batch the master ever relayed to it (the
+counting-termination ledger records exactly that) — on a fresh worker incarnation with a bumped *epoch*.
 Epochs stamp every worker-originated message so stale messages from a
 dead incarnation can never corrupt the ledger, and each incarnation mints
 dictionary ids in its own stripe so a replacement can never re-issue an
 id the dead worker already shipped for a different term.
 
-Both executors are differentially tested against the serial fixpoint and
+All three are differentially tested against the serial fixpoint and
 the lock-step oracle, with and without injected faults.
 """
 
@@ -51,12 +57,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import random
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.datalog.ast import Rule
-from repro.parallel.aggregate import RunOutput, encode_outputs, gather_rows
+from repro.datalog.engine import EngineStats
+from repro.parallel.aggregate import RunOutput, gather_rows
+from repro.parallel.cluster import ClusterSpec
 from repro.parallel.comm import ChannelPool
 from repro.parallel.faults import FaultPlan
 from repro.parallel.messages import (
@@ -65,79 +72,27 @@ from repro.parallel.messages import (
     EncodedBatch,
     Finish,
     Heartbeat,
+    Message,
     OutputMsg,
     Produced,
     RemovalBatch,
     Stop,
 )
-from repro.parallel.routing import DataPartitionRouter, Router, RulePartitionRouter
 from repro.parallel.stats import AsyncRunStats
 from repro.parallel.supervisor import (
     ProcessSupervisor,
-    SupervisionPolicy,
     WorkerFailure,
     parent_alive,
+    start_workers,
 )
 from repro.parallel.termination import CountingTermination
 from repro.parallel.worker import PartitionWorker
-from repro.rdf.dictionary import (
-    PartitionDictionary,
-    TermDictionary,
-    lookup_rows,
-)
-from repro.rdf.graph import Graph
+from repro.rdf.dictionary import TermDictionary, lookup_rows
 from repro.rdf.idstore import IdGraph
-from repro.rdf.stores import sanitize_enabled
-from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 
-
-def build_base_dictionary(
-    partitions: Sequence[Graph],
-    extra: Sequence[Graph] = (),
-    rules: Sequence[Rule] = (),
-) -> TermDictionary:
-    """The shared base stripe: every term the master can see at setup,
-    encoded once.  Pass the rule base too — rule atoms are the only other
-    source of ground terms (head constants like class URIs), and seeding
-    them means delta-dictionary traffic only carries terms that genuinely
-    first exist at runtime."""
-    d = TermDictionary()
-    enc = d.encode
-    for g in list(partitions) + list(extra):
-        for t in g:
-            enc(t.s)
-            enc(t.p)
-            enc(t.o)
-    for r in rules:
-        for atom in (*r.body, r.head):
-            for term in atom:
-                if not isinstance(term, Variable):
-                    enc(term)
-    return d
-
-
-def _all_rules(
-    rules_per_node: Sequence[Sequence[Rule]],
-    rule_sets: Sequence[Sequence[Rule]] | None,
-) -> list[Rule]:
-    out: list[Rule] = []
-    for rs in list(rules_per_node) + list(rule_sets or []):
-        out.extend(rs)
-    return out
-
-
-def _make_router(
-    router_kind: str,
-    owner_table: dict | None,
-    k: int,
-    rule_sets: Sequence[Sequence[Rule]] | None,
-) -> Router:
-    if router_kind == "data":
-        from repro.partitioning.base import TableOwner
-
-        return DataPartitionRouter(TableOwner(k, owner_table or {}))
-    return RulePartitionRouter(rule_sets or [])
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 class AsyncRunResult(RunOutput):
@@ -149,47 +104,42 @@ class AsyncRunResult(RunOutput):
         self,
         dictionary: TermDictionary,
         store: IdGraph,
+        engine_stats: EngineStats,
         stats: AsyncRunStats,
         det: CountingTermination,
         workers: Sequence[PartitionWorker] = (),
     ) -> None:
-        super().__init__(None, dictionary, store, workers)
+        super().__init__(None, dictionary, store, workers, engine_stats)
         self.stats = stats
         #: Final sent/consumed counters (exposed for the termination tests).
         self.forwarded = list(det.forwarded)
         self.consumed = list(det.consumed)
 
 
-# -- in-process executor ------------------------------------------------------
+def _post_run_checks(
+    spec: ClusterSpec, det: CountingTermination,
+    workers: Sequence[PartitionWorker] = (),
+) -> None:
+    """With the sanitizer enabled, audit the run's end state: the Safra
+    counting ledger must conserve (forwarded == consumed everywhere) and
+    resident workers' dictionary stripes must be pairwise disjoint — an id
+    minted by two incarnations would silently merge unrelated terms (the
+    gather checks the same of every executor's shipped deltas)."""
+    if not spec.sanitize:
+        return
+    from repro.analysis.sanitize import check_ledger, check_stripe_disjointness
+
+    check_ledger(det)
+    check_stripe_disjointness([w.dictionary for w in workers])
 
 
-def run_async_inprocess(
-    partitions: Sequence[Graph],
-    rules_per_node: Sequence[Sequence[Rule]],
-    router_kind: str,
-    owner_table: dict | None = None,
-    rule_sets: Sequence[Sequence[Rule]] | None = None,
-    schema_graphs: Sequence[Graph] = (),
-    delivery: str = "fifo",
-    seed: int = 0,
-    max_messages: int = 1_000_000,
-    seed_rule_terms: bool = True,
-    faults: FaultPlan | None = None,
-    degrade: str = "abort",
-    max_retries: int = 2,
-    store: str | None = None,
-    memory_budget_bytes: int | None = None,
-    sanitize: bool | None = None,
-) -> AsyncRunResult:
-    """Round-free run with in-process workers and controllable delivery.
+# -- in-process executors -----------------------------------------------------
 
-    ``schema_graphs`` are the replicated schema triples: no worker holds
-    them, they seed the base dictionary and join the result's rows.
 
-    ``seed_rule_terms=True`` (default) puts the rule base's ground terms
-    into the base dictionary, so delta messages carry only runtime-fresh
-    terms; the delta round-trip tests pass ``False`` to force every rule
-    constant through the delta path.
+class _InProcessRun:
+    """One in-process run of a spec: the resident workers, the counting
+    ledger, the pending pool and the relay ledger — the set-up, emit and
+    drain both in-process executors share.
 
     ``delivery`` picks which *channel* — a (sender, dest) pair — delivers
     its oldest pending message next: ``"fifo"`` always the globally oldest
@@ -198,240 +148,217 @@ def run_async_inprocess(
     preserved: the wire protocol (like the ``multiprocessing`` queues and
     any MPI transport it stands in for) assumes FIFO channels — a delta-
     dictionary entry must not arrive after a row that needs it — while
-    arrival order *across* channels is adversarial.  All delivery orders
-    must (and do) reach the same fixpoint; the shuffle mode is the
-    out-of-order test harness.
-
-    ``faults`` schedules deterministic failures
-    (:class:`~repro.parallel.faults.FaultPlan`): killed and frozen
-    workers stall the counting ledger and surface as
-    :class:`~repro.parallel.supervisor.WorkerFailure`; with
-    ``degrade="recover"`` the executor re-runs the node from its input
-    partition plus the replay of its relay ledger (at most
-    ``max_retries`` recovery events per run).  Dropped batches are
-    retransmitted from the same ledger; duplicated and delayed batches
-    must be absorbed by receiver-side dedup and channel-FIFO alone.
+    arrival order *across* channels is adversarial.
     """
-    if delivery not in ("fifo", "lifo", "shuffle"):
-        raise ValueError(f"unknown delivery order {delivery!r}")
-    if degrade not in ("abort", "recover"):
-        raise ValueError(f'degrade must be "abort" or "recover", got {degrade!r}')
-    k = len(partitions)
-    if len(rules_per_node) != k:
-        raise ValueError("rules_per_node must match partitions")
-    plan = faults or FaultPlan()
-    base = build_base_dictionary(
-        partitions,
-        extra=schema_graphs,
-        rules=_all_rules(rules_per_node, rule_sets) if seed_rule_terms else (),
-    )
-    router = _make_router(router_kind, owner_table, k, rule_sets)
-    # Each incarnation mints ids in its own stripe: worker i at epoch e
-    # uses stripe i + e*k of k*(max_retries+1), so a replacement can never
-    # re-issue an id its dead predecessor already shipped.
-    stripes = k * (max_retries + 1)
-    workers = [
-        PartitionWorker(
-            node_id=i,
-            base=partitions[i],
-            rules=rules_per_node[i],
-            router=router,
-            dictionary=PartitionDictionary(base, i, stripes),
-            store=store,
-            memory_budget_bytes=memory_budget_bytes,
-            sanitize=sanitize,
-        )
-        for i in range(k)
-    ]
 
-    stats = AsyncRunStats(k=k)
-    det = CountingTermination(k)
-    rng = None
-    if delivery == "shuffle":
-        import random
+    def __init__(
+        self,
+        spec: ClusterSpec,
+        delivery: str,
+        seed: int,
+        max_messages: int,
+        faults: FaultPlan | None = None,
+    ) -> None:
+        if delivery not in ("fifo", "lifo", "shuffle"):
+            raise ValueError(f"unknown delivery order {delivery!r}")
+        self.spec = spec = spec.for_run()
+        k = spec.k
+        self.plan = faults or FaultPlan()
+        self.max_messages = max_messages
+        self.workers = [spec.worker(i) for i in range(k)]
+        self.stats = AsyncRunStats(k=k)
+        self.det = CountingTermination(k)
+        self.pool = ChannelPool(
+            delivery, random.Random(seed) if delivery == "shuffle" else None)
+        self.epoch = [0] * k
+        self.alive = [True] * k
+        self.frozen = [False] * k
+        self.node_delivered = [0] * k
+        #: Every batch ever forwarded to each node, in relay order — the
+        #: ledger recovery replays and drop-retransmission draws from.
+        self.relay_log: list[list[Message]] = [[] for _ in range(k)]
+        self.channel_seq: dict[tuple[int, int], int] = {}
+        #: Channel -> deliver nothing from it until `delivered` passes this.
+        self.held: dict[tuple[int, int], int] = {}
+        #: Dropped-by-fault batches awaiting ledger retransmission.
+        self.lost: list[Message] = []
+        self.delivered = 0
+        for w in self.workers:
+            self.emit(w.bootstrap().outgoing)
+            self.det.mark_bootstrapped(w.node_id)
 
-        rng = random.Random(seed)
-    pool = ChannelPool(delivery, rng)
-
-    epoch = [0] * k
-    alive = [True] * k
-    frozen = [False] * k
-    node_delivered = [0] * k
-    #: Every batch ever forwarded to each node, in relay order — the
-    #: ledger recovery replays and drop-retransmission draws from.
-    relay_log: list[list] = [[] for _ in range(k)]
-    channel_seq: dict[tuple[int, int], int] = {}
-    #: Channel -> deliver nothing from it until `delivered` passes this.
-    held: dict[tuple[int, int], int] = {}
-    #: Dropped-by-fault batches awaiting ledger retransmission.
-    lost: list = []
-    delivered = 0
-    retries_used = 0
-
-    def _emit(batches) -> None:
+    def emit(self, batches: Sequence[Message]) -> None:
+        """Put ``batches`` on the wire: counted, logged for replay, and
+        subjected to the fault plan's channel faults."""
+        det, stats, pool = self.det, self.stats, self.pool
         for b in batches:
             key = (b.sender, b.dest)
-            seq = channel_seq.get(key, 0)
-            channel_seq[key] = seq + 1
+            seq = self.channel_seq.get(key, 0)
+            self.channel_seq[key] = seq + 1
             det.record_forward(b.dest)
             stats.record_batch(b)
-            relay_log[b.dest].append(b)
-            fault = plan.channel_fault(key, seq)
+            self.relay_log[b.dest].append(b)
+            fault = self.plan.channel_fault(key, seq)
             if fault is None:
                 pool.emit(b)
             elif fault.action == "drop":
-                lost.append(b)
+                self.lost.append(b)
             elif fault.action == "duplicate":
                 # Two genuine wire copies: both counted, both consumed.
                 pool.emit(b)
                 det.record_forward(b.dest)
                 stats.record_batch(b)
-                relay_log[b.dest].append(b)
+                self.relay_log[b.dest].append(b)
                 pool.emit(b)
             else:  # delay: hold the whole channel, preserving its FIFO
-                held[key] = delivered + max(0, fault.delay)
+                self.held[key] = self.delivered + max(0, fault.delay)
                 pool.emit(b)
 
-    def _eligible(key: tuple[int, int]) -> bool:
+    def _eligible(self, key: tuple[int, int]) -> bool:
         dest = key[1]
-        return alive[dest] and not frozen[dest] and held.get(key, 0) <= delivered
+        return (self.alive[dest] and not self.frozen[dest]
+                and self.held.get(key, 0) <= self.delivered)
 
-    def _revive(node: int) -> None:
-        epoch[node] += 1
-        alive[node] = True
-        frozen[node] = False
-        pool.discard_dest(node)
-        lost[:] = [b for b in lost if b.dest != node]
-        det.reset_node(node)
-        replacement = PartitionWorker(
-            node_id=node,
-            base=partitions[node],
-            rules=rules_per_node[node],
-            router=router,
-            dictionary=PartitionDictionary(
-                base, node + epoch[node] * k, stripes
-            ),
-            epoch=epoch[node],
-            store=store,
-            memory_budget_bytes=memory_budget_bytes,
-            sanitize=sanitize,
+    def drain(self) -> None:
+        """Deliver until the counting ledger is quiescent."""
+        det, plan = self.det, self.plan
+        while not det.quiescent():
+            if self.delivered >= self.max_messages:
+                raise RuntimeError(
+                    f"no termination after {self.max_messages} messages")
+            batch = self.pool.pop_next(self._eligible)
+            if batch is None:
+                self._unstall()
+                continue
+            dest = batch.dest
+            if (self.epoch[dest] == 0
+                    and plan.kill_after.get(dest) == self.node_delivered[dest]):
+                # Crash mid-processing: the message is consumed off the wire
+                # but never acknowledged — exactly a worker dying in step().
+                self.alive[dest] = False
+                continue
+            if (self.epoch[dest] == 0
+                    and plan.freeze_after.get(dest) == self.node_delivered[dest]):
+                # Wedged, not dead: the message stays pending at channel head.
+                self.frozen[dest] = True
+                self.pool.push_front(batch)
+                continue
+            self.node_delivered[dest] += 1
+            self.delivered += 1
+            result = self.workers[dest].step([batch])
+            det.record_delivery(dest)
+            self.emit(result.outgoing)
+
+    def _unstall(self) -> None:
+        """Nothing is deliverable but the ledger is not quiescent: release
+        delayed channels, else retransmit dropped batches, else diagnose
+        the failed nodes — raising the typed failure, or reviving them
+        under ``degrade="recover"``."""
+        if self.held:
+            # Only held (delayed) channels remain deliverable: the delay
+            # has run its course, release them.
+            self.held.clear()
+            return
+        ready = [b for b in self.lost
+                 if self.alive[b.dest] and not self.frozen[b.dest]]
+        if ready:
+            # The ledger noticed forwarded > consumed; retransmit.
+            for b in ready:
+                self.lost.remove(b)
+                self.stats.retransmitted += 1
+                self.pool.emit(b)
+            return
+        k = self.spec.k
+        failed = [i for i in range(k) if not self.alive[i] or self.frozen[i]]
+        if not failed:  # pragma: no cover - invariant check
+            raise RuntimeError("pool stalled but counters disagree")
+        reason = "killed" if any(not self.alive[i] for i in failed) else "frozen"
+        failure = WorkerFailure(
+            failed,
+            reason,
+            forwarded=[self.det.forwarded[i] for i in failed],
+            consumed=[self.det.consumed[i] for i in failed],
+            epoch=max(self.epoch[i] for i in failed),
         )
-        workers[node] = replacement
+        self.stats.record_failure(failure.record())
+        policy = self.spec.supervision
+        if policy.degrade != "recover" or self.stats.retries >= policy.max_retries:
+            raise failure
+        self.stats.retries += 1
+        for node in failed:
+            self._revive(node)
+
+    def _revive(self, node: int) -> None:
+        """Re-run ``node`` as a fresh incarnation: its input partition plus
+        the replay of its relay ledger."""
+        det = self.det
+        self.epoch[node] += 1
+        self.alive[node] = True
+        self.frozen[node] = False
+        self.pool.discard_dest(node)
+        self.lost[:] = [b for b in self.lost if b.dest != node]
+        det.reset_node(node)
+        replacement = self.spec.worker(node, self.epoch[node])
+        self.workers[node] = replacement
         boot = replacement.bootstrap()
         det.mark_bootstrapped(node)
-        _emit(boot.outgoing)
+        self.emit(boot.outgoing)
         # Ledger replay: everything the master ever forwarded to this
         # node, in the original per-sender order (FIFO channels hold, so
         # delta-dictionary entries still precede the rows that need them).
-        for b in list(relay_log[node]):
+        for b in list(self.relay_log[node]):
             det.record_forward(node)
-            stats.retransmitted += 1
+            self.stats.retransmitted += 1
             result = replacement.step([b])
             det.record_delivery(node)
-            _emit(result.outgoing)
+            self.emit(result.outgoing)
 
-    for w in workers:
-        _emit(w.bootstrap().outgoing)
-        det.mark_bootstrapped(w.node_id)
-
-    while not det.quiescent():
-        if delivered >= max_messages:
-            raise RuntimeError(f"no termination after {max_messages} messages")
-        batch = pool.pop_next(_eligible)
-        if batch is None:
-            if held:
-                # Only held (delayed) channels remain deliverable: the
-                # delay has run its course, release them.
-                held.clear()
-                continue
-            redelivered = False
-            for b in list(lost):
-                if alive[b.dest] and not frozen[b.dest]:
-                    # The ledger noticed forwarded > consumed; retransmit.
-                    lost.remove(b)
-                    stats.retransmitted += 1
-                    pool.emit(b)
-                    redelivered = True
-            if redelivered:
-                continue
-            failed = [
-                i for i in range(k) if not alive[i] or frozen[i]
-            ]
-            if not failed:  # pragma: no cover - invariant check
-                raise RuntimeError("pool stalled but counters disagree")
-            reason = "killed" if any(not alive[i] for i in failed) else "frozen"
-            failure = WorkerFailure(
-                failed,
-                reason,
-                forwarded=[det.forwarded[i] for i in failed],
-                consumed=[det.consumed[i] for i in failed],
-                epoch=max(epoch[i] for i in failed),
-            )
-            stats.record_failure(failure.record())
-            if degrade != "recover" or retries_used >= max_retries:
-                raise failure
-            retries_used += 1
-            stats.retries += 1
-            for node in failed:
-                _revive(node)
-            continue
-        dest = batch.dest
-        if epoch[dest] == 0 and plan.kill_after.get(dest) == node_delivered[dest]:
-            # Crash mid-processing: the message is consumed off the wire
-            # but never acknowledged — exactly a worker dying in step().
-            alive[dest] = False
-            continue
-        if epoch[dest] == 0 and plan.freeze_after.get(dest) == node_delivered[dest]:
-            # Wedged, not dead: the message stays pending at channel head.
-            frozen[dest] = True
-            pool.push_front(batch)
-            continue
-        node_delivered[dest] += 1
-        delivered += 1
-        result = workers[dest].step([batch])
-        det.record_delivery(dest)
-        _emit(result.outgoing)
-
-    _post_run_checks(det, workers, sanitize)
-    dictionary, rows = gather_rows(workers, *schema_graphs)
-    return AsyncRunResult(dictionary, rows, stats, det, workers)
+    def result(self) -> AsyncRunResult:
+        _post_run_checks(self.spec, self.det, self.workers)
+        dictionary, store, engine_stats = gather_rows(
+            self.spec, map(OutputMsg.of, self.workers))
+        return AsyncRunResult(dictionary, store, engine_stats, self.stats,
+                              self.det, self.workers)
 
 
-def _post_run_checks(det, workers, sanitize) -> None:
-    """With the sanitizer enabled, audit the run's end state: the Safra
-    counting ledger must conserve (forwarded == consumed everywhere) and
-    the workers' dictionary stripes must be pairwise disjoint — an id
-    minted by two incarnations would silently merge unrelated terms."""
-    if not sanitize_enabled(sanitize):
-        return
-    from repro.analysis.sanitize import check_ledger, check_stripe_disjointness
-
-    check_ledger(det)
-    check_stripe_disjointness([w.dictionary for w in workers])
-
-
-# -- incremental (DRed) executor ----------------------------------------------
-
-
-def run_apply_inprocess(
-    partitions: Sequence[Graph],
-    rules_per_node: Sequence[Sequence[Rule]],
-    router_kind: str,
-    adds: Sequence[Triple] = (),
-    removes: Sequence[Triple] = (),
-    owner_table: dict | None = None,
-    rule_sets: Sequence[Sequence[Rule]] | None = None,
-    schema_graphs: Sequence[Graph] = (),
+def run_async_inprocess(
+    spec: ClusterSpec,
     delivery: str = "fifo",
     seed: int = 0,
     max_messages: int = 1_000_000,
-    store: str | None = None,
-    memory_budget_bytes: int | None = None,
-    sanitize: bool | None = None,
+    faults: FaultPlan | None = None,
+) -> AsyncRunResult:
+    """Round-free run of ``spec`` with in-process workers and
+    controllable delivery order (see :class:`_InProcessRun`): all
+    delivery orders must (and do) reach the same fixpoint; the shuffle
+    mode is the out-of-order test harness.
+
+    ``faults`` schedules deterministic failures
+    (:class:`~repro.parallel.faults.FaultPlan`): killed and frozen
+    workers stall the counting ledger and surface as
+    :class:`~repro.parallel.supervisor.WorkerFailure`; under the spec's
+    ``SupervisionPolicy(degrade="recover")`` the executor re-runs the node
+    from its input partition plus the replay of its relay ledger (at most
+    ``max_retries`` recovery events per run).  Dropped batches are
+    retransmitted from the same ledger; duplicated and delayed batches
+    must be absorbed by receiver-side dedup and channel-FIFO alone.
+    """
+    run = _InProcessRun(spec, delivery, seed, max_messages, faults)
+    run.drain()
+    return run.result()
+
+
+def run_apply_inprocess(
+    spec: ClusterSpec,
+    adds: Sequence[Triple] = (),
+    removes: Sequence[Triple] = (),
+    delivery: str = "fifo",
+    seed: int = 0,
+    max_messages: int = 1_000_000,
 ) -> AsyncRunResult:
     """Distributed delete-and-rederive over the id wire protocol.
 
-    Materializes the partitions' closure, then maintains it under
+    Materializes the spec's closure, then maintains it under
     ``(adds, removes)`` with the DRed phases run cluster-wide:
 
     1. the master broadcasts the user retractions to *every* node as
@@ -450,290 +377,139 @@ def run_apply_inprocess(
     derivations, in the same per-node dictionary stripes.  Additions are
     broadcast rather than owner-routed — with rule partitioning every
     node holds the full data set, and with data partitioning the extra
-    replicas only cost memory, never correctness (receiver dedup).
+    replicas only cost memory, never correctness (receiver dedup).  The
+    master puts both on the wire in base ids, so every term of ``adds``
+    must be in the spec's base dictionary.
 
     Returns the final maintained KB (union of node outputs), equal to
     re-closing ``(base ∖ removes) ∪ adds`` from scratch.
     """
-    if delivery not in ("fifo", "lifo", "shuffle"):
-        raise ValueError(f"unknown delivery order {delivery!r}")
-    k = len(partitions)
-    if len(rules_per_node) != k:
-        raise ValueError("rules_per_node must match partitions")
     adds = list(adds)
-    removes = list(removes)
-    base = build_base_dictionary(
-        partitions,
-        extra=[Graph(adds), Graph(removes), *schema_graphs],
-        rules=_all_rules(rules_per_node, rule_sets),
-    )
-    router = _make_router(router_kind, owner_table, k, rule_sets)
-    workers = [
-        PartitionWorker(
-            node_id=i,
-            base=partitions[i],
-            rules=rules_per_node[i],
-            router=router,
-            dictionary=PartitionDictionary(base, i, k),
-            store=store,
-            memory_budget_bytes=memory_budget_bytes,
-            sanitize=sanitize,
-        )
-        for i in range(k)
-    ]
-    stats = AsyncRunStats(k=k)
-    det = CountingTermination(k)
-    rng = None
-    if delivery == "shuffle":
-        import random
-
-        rng = random.Random(seed)
-    pool = ChannelPool(delivery, rng)
-    delivered = 0
-
-    def _emit(batches) -> None:
-        for b in batches:
-            det.record_forward(b.dest)
-            stats.record_batch(b)
-            pool.emit(b)
-
-    def _drain() -> None:
-        nonlocal delivered
-        while not det.quiescent():
-            if delivered >= max_messages:
-                raise RuntimeError(
-                    f"no termination after {max_messages} messages")
-            batch = pool.pop_next()
-            if batch is None:  # pragma: no cover - invariant check
-                raise RuntimeError("pool stalled but counters disagree")
-            delivered += 1
-            result = workers[batch.dest].step([batch])
-            det.record_delivery(batch.dest)
-            _emit(result.outgoing)
-
-    # Initial closure.
-    for w in workers:
-        _emit(w.bootstrap().outgoing)
-        det.mark_bootstrapped(w.node_id)
-    _drain()
-
+    # A retraction naming a term the base never saw cannot match any row.
+    removed = lookup_rows(spec.base, removes)
+    added = lookup_rows(spec.base, adds)
+    if len(added[0]) < len(adds):
+        raise ValueError(
+            "an added triple names a term outside the spec's base "
+            "dictionary; build the spec with the additions in its base")
+    run = _InProcessRun(spec, delivery, seed, max_messages)
+    run.drain()
+    k = spec.k
     # Overdeletion: broadcast the retractions, drain to quiescence,
     # then finalize every node and drain the restoration traffic.
-    if removes:
-        cols = lookup_rows(base, removes)
-        _emit([
-            RemovalBatch.from_columns(-1, dest, 0, cols, retract_base=True)
+    if len(removed[0]):
+        run.emit([
+            RemovalBatch.from_columns(-1, dest, 0, removed, retract_base=True)
             for dest in range(k)
         ])
-        _drain()
-        for w in workers:
-            _emit(w.finalize_removals().outgoing)
-        _drain()
-
+        run.drain()
+        for w in run.workers:
+            run.emit(w.finalize_removals().outgoing)
+        run.drain()
     # Additions: an ordinary incremental load.
     if adds:
-        cols = lookup_rows(base, adds)
-        _emit([
-            EncodedBatch(-1, dest, 0, cols[0], cols[1], cols[2])
-            for dest in range(k)
-        ])
-        _drain()
-
-    _post_run_checks(det, workers, sanitize)
-    dictionary, rows = gather_rows(workers, *schema_graphs)
-    return AsyncRunResult(dictionary, rows, stats, det, workers)
+        run.emit([EncodedBatch(-1, dest, 0, *added) for dest in range(k)])
+        run.drain()
+    return run.result()
 
 
 # -- multiprocess executor ----------------------------------------------------
 
 
-@dataclass
-class _AsyncNodeConfig:
-    """Everything one async worker process needs (picklable, spawn-safe)."""
-
-    node_id: int
-    k: int
-    #: Total dictionary stripe count (k * (max_retries + 1)): worker i at
-    #: epoch e mints in stripe i + e*k, so no incarnation ever reuses ids.
-    stripes: int
-    base_triples: list[Triple]
-    rules: list[Rule]
-    router_kind: str
-    owner_table: dict | None
-    rule_sets: list[list[Rule]] | None
-    base_terms: list[Term]
-    #: Store choice ("dense" / "run") and per-worker resident
-    #: cap — adopted incarnations rebuild with the same budget.
-    store: str | None = None
-    memory_budget_bytes: int | None = None
-    #: Runtime invariant checks (:mod:`repro.analysis.sanitize`) for every
-    #: hosted worker's store; ``None`` defers to ``REPRO_SANITIZE``.
-    sanitize: bool | None = None
-
-
-def _make_logical_worker(cfg: _AsyncNodeConfig, epoch: int) -> PartitionWorker:
-    base = TermDictionary.from_terms(cfg.base_terms)
-    return PartitionWorker(
-        node_id=cfg.node_id,
-        base=Graph(cfg.base_triples),
-        rules=cfg.rules,
-        router=_make_router(cfg.router_kind, cfg.owner_table, cfg.k, cfg.rule_sets),
-        dictionary=PartitionDictionary(
-            base, cfg.node_id + epoch * cfg.k, cfg.stripes
-        ),
-        epoch=epoch,
-        store=cfg.store,
-        memory_budget_bytes=cfg.memory_budget_bytes,
-        sanitize=cfg.sanitize,
-    )
-
-
 def _async_worker_main(
-    cfg: _AsyncNodeConfig,
+    spec: ClusterSpec,
+    node: int,
     inbox: mp.Queue,
-    outbox: mp.Queue,
-    heartbeat_interval: float,
+    outbox: Connection,
 ) -> None:
     """Worker process loop — no rounds, hang-proof.
 
     Protocol (typed control messages, :mod:`repro.parallel.messages`):
-      master -> worker: Deliver(batch) | Adopt(node, epoch, cfg)
+      master -> worker: Deliver(batch) | Adopt(node, epoch)
                         | Finish() | Stop()
       worker -> master: Produced(node, epoch, batches, consumed)
-                        | OutputMsg(node, epoch, triples)
+                        | OutputMsg(node, epoch, s, p, o, delta, stats)
                         | Heartbeat(node, epoch, consumed)
     Every Deliver yields exactly one Produced (possibly with zero batches)
     whose cumulative ``consumed`` count is the acknowledgement the
     master's termination counting relies on.  One process may host
     several *logical* workers: recovery adopts a dead peer's node here,
-    re-seeded from its config and the master's relay ledger.
+    built from the process's copy of the spec and re-seeded by the
+    master's relay ledger.
 
-    The inbox wait is bounded: on every idle ``heartbeat_interval`` the
+    The inbox wait is bounded: on every idle heartbeat interval the
     worker checks that the master still exists (exiting instead of
     leaking an orphan if not) and heartbeats each hosted node.
     """
     parent = os.getppid()
+    heartbeat_interval = spec.supervision.heartbeat_interval
     workers: dict[int, PartitionWorker] = {}
     consumed: dict[int, int] = {}
-    epochs: dict[int, int] = {}
 
-    def boot(node_cfg: _AsyncNodeConfig, epoch: int) -> None:
-        w = _make_logical_worker(node_cfg, epoch)
-        workers[node_cfg.node_id] = w
-        consumed[node_cfg.node_id] = 0
-        epochs[node_cfg.node_id] = epoch
+    def boot(nid: int, epoch: int) -> None:
+        w = spec.worker(nid, epoch)
+        workers[nid] = w
+        consumed[nid] = 0
         result = w.bootstrap()
-        outbox.put(Produced(node_cfg.node_id, epoch, tuple(result.outgoing), 0))
+        outbox.send(Produced(nid, epoch, tuple(result.outgoing), 0))
 
-    boot(cfg, 0)
+    boot(node, 0)
     while True:
         try:
             msg = inbox.get(timeout=heartbeat_interval)
         except queue_mod.Empty:
             if not parent_alive(parent):
                 return  # master died: exit instead of leaking an orphan
-            for nid in workers:
-                outbox.put(Heartbeat(nid, epochs[nid], consumed[nid]))
+            for nid, w in workers.items():
+                outbox.send(Heartbeat(nid, w.epoch, consumed[nid]))
             continue
         if isinstance(msg, Stop):
             return
         if isinstance(msg, Finish):
             # Output *request*, not shutdown: recovery may still need us.
-            for nid, w in workers.items():
-                outbox.put(OutputMsg(nid, epochs[nid], tuple(w.output_graph())))
+            for w in workers.values():
+                outbox.send(OutputMsg.of(w))
             continue
         if isinstance(msg, Adopt):
-            boot(msg.config, msg.epoch)
+            boot(msg.node_id, msg.epoch)
             continue
         batch = msg.batch
         nid = batch.dest
         consumed[nid] += 1
-        result = workers[nid].step([batch])
-        outbox.put(Produced(nid, epochs[nid], tuple(result.outgoing), consumed[nid]))
+        w = workers[nid]
+        result = w.step([batch])
+        outbox.send(Produced(nid, w.epoch, tuple(result.outgoing), consumed[nid]))
 
 
 def run_multiprocess_async(
-    partitions: Sequence[Graph],
-    rules_per_node: Sequence[Sequence[Rule]],
-    router_kind: str,
-    owner_table: dict | None = None,
-    rule_sets: Sequence[Sequence[Rule]] | None = None,
-    schema_graphs: Sequence[Graph] = (),
+    spec: ClusterSpec,
     max_messages: int = 1_000_000,
     start_method: str | None = None,
-    idle_timeout: float = 120.0,
-    seed_rule_terms: bool = True,
-    degrade: str = "abort",
-    max_retries: int = 2,
-    supervision: SupervisionPolicy | None = None,
-    store: str | None = None,
-    memory_budget_bytes: int | None = None,
-    sanitize: bool | None = None,
 ) -> AsyncRunResult:
-    """Round-free execution across real processes.  The workers ship
-    their outputs as term triples (``OutputMsg``); the master encodes
-    them, with the ``schema_graphs``, into the same ``(dictionary,
-    store)`` result the in-process executors gather.
+    """Round-free execution of ``spec`` across real processes.  The
+    workers ship their outputs as rows (``OutputMsg``), which the master
+    gathers, with the spec's schema graphs, into the same ``(dictionary,
+    store)`` result the in-process executors produce.
 
-    Same configuration surface as
-    :func:`repro.parallel.mp_backend.run_multiprocess` (the lock-step
-    differential oracle).  ``start_method=None`` uses the platform default
-    (fork on Linux, spawn on macOS/Windows); both work — every shipped
-    object is picklable and terms re-intern on arrival.
+    ``start_method=None`` uses the platform default (fork on Linux, spawn
+    on macOS/Windows); both work — the spec and every message are
+    picklable and terms re-intern on arrival.
 
-    Supervision (:class:`~repro.parallel.supervisor.SupervisionPolicy`,
-    overridable wholesale via ``supervision``): worker liveness is folded
-    into every blocking outbox wait, workers heartbeat on idle, and a
-    crashed or silent worker raises a typed
+    Supervision is the spec's
+    :class:`~repro.parallel.supervisor.SupervisionPolicy`: worker
+    liveness is folded into every blocking outbox wait, workers heartbeat
+    on idle, and a crashed or silent worker raises a typed
     :class:`~repro.parallel.supervisor.WorkerFailure` naming the node.
     With ``degrade="recover"`` the master instead adopts the lost node
-    onto a surviving process — round-robin over survivors — re-seeded
-    from the node's spawn config plus a replay of every batch the master
-    ever relayed to it (the counting ledger records exactly that), up to
-    ``max_retries`` recovery events per run.
+    onto a surviving process — round-robin over survivors — rebuilt from
+    the spec plus a replay of every batch the master ever relayed to it
+    (the counting ledger records exactly that), up to ``max_retries``
+    recovery events per run.
     """
-    k = len(partitions)
-    if len(rules_per_node) != k:
-        raise ValueError("rules_per_node must match partitions")
-    policy = supervision or SupervisionPolicy(
-        degrade=degrade, max_retries=max_retries, idle_timeout=idle_timeout
-    )
-    base = build_base_dictionary(
-        partitions,
-        extra=schema_graphs,
-        rules=_all_rules(rules_per_node, rule_sets) if seed_rule_terms else (),
-    )
-    base_terms = base.terms()
-    stripes = k * (policy.max_retries + 1)
-    ctx = mp.get_context(start_method)
-    inboxes = [ctx.Queue() for _ in range(k)]
-    outbox = ctx.Queue()
-
-    cfgs: list[_AsyncNodeConfig] = []
-    processes = []
-    for i in range(k):
-        cfg = _AsyncNodeConfig(
-            node_id=i,
-            k=k,
-            stripes=stripes,
-            base_triples=list(partitions[i]),
-            rules=list(rules_per_node[i]),
-            router_kind=router_kind,
-            owner_table=dict(owner_table) if owner_table else None,
-            rule_sets=[list(rs) for rs in rule_sets] if rule_sets else None,
-            base_terms=base_terms,
-            store=store,
-            memory_budget_bytes=memory_budget_bytes,
-            sanitize=sanitize,
-        )
-        cfgs.append(cfg)
-        proc = ctx.Process(
-            target=_async_worker_main,
-            args=(cfg, inboxes[i], outbox, policy.heartbeat_interval),
-        )
-        proc.start()
-        processes.append(proc)
-
+    k = spec.k
+    policy = spec.supervision
+    processes, inboxes, outboxes = start_workers(
+        mp.get_context(start_method), _async_worker_main, spec)
     det = CountingTermination(k)
     stats = AsyncRunStats(k=k)
     sup = ProcessSupervisor(
@@ -775,14 +551,14 @@ def run_multiprocess_async(
             route[node] = target
             det.reset_node(node)
             sup.reassign(node, target)
-            inboxes[target].put(Adopt(node, epoch[node], cfgs[node]))
+            inboxes[target].put(Adopt(node, epoch[node]))
             for batch in relay_log[node]:
                 det.record_forward(node)
                 stats.retransmitted += 1
                 inboxes[target].put(Deliver(batch))
 
     try:
-        outputs: dict[int, tuple] = {}
+        outputs: dict[int, OutputMsg] = {}
         finish_sent = False
         while True:
             if det.quiescent() and not finish_sent:
@@ -792,7 +568,7 @@ def run_multiprocess_async(
             if finish_sent and len(outputs) == k:
                 break
             try:
-                msg = sup.get(outbox)
+                msg = sup.get(outboxes)
             except WorkerFailure as wf:
                 stats.record_failure(wf.record())
                 if (
@@ -820,11 +596,13 @@ def run_multiprocess_async(
             elif isinstance(msg, OutputMsg):
                 if msg.epoch < epoch[msg.node_id]:
                     continue
-                outputs[msg.node_id] = msg.triples
+                outputs[msg.node_id] = msg
 
         for p in sup.live_process_indexes():
             inboxes[p].put(Stop())
-        rows = encode_outputs(base, outputs.values(), *schema_graphs)
-        return AsyncRunResult(base, rows, stats, det)
+        _post_run_checks(spec, det)
+        dictionary, store, engine_stats = gather_rows(
+            spec, [outputs[i] for i in range(k)])
+        return AsyncRunResult(dictionary, store, engine_stats, stats, det)
     finally:
         sup.shutdown()

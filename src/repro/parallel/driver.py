@@ -5,8 +5,11 @@ give it an ontology, pick a partitioning approach and policy, and call
 ``materialize``.  It
 
 1. compiles the ontology into instance rules,
-2. partitions the data (Algorithm 1) or the rule base (Algorithm 2),
-3. builds one :class:`PartitionWorker` per node with the matching router,
+2. partitions the data (Algorithm 1) or the rule base (Algorithm 2) and
+   writes the decision down as one :class:`~repro.parallel.cluster.
+   ClusterSpec` — partitions, rule subsets, router — which every executor
+   (these rounds, the round-free runtimes, the multiprocess oracle) runs,
+3. builds one :class:`PartitionWorker` per node from it,
 4. iterates synchronous rounds until no node produced cross-partition
    tuples and nothing is in transit (the paper's termination condition),
 5. aggregates the union of the nodes' outputs.
@@ -33,12 +36,13 @@ from repro.owl.reasoner import split_schema
 from repro.parallel.aggregate import RunOutput, gather_rows
 from repro.parallel.async_backend import (
     AsyncRunResult,
-    build_base_dictionary,
     run_apply_inprocess,
     run_async_inprocess,
     run_multiprocess_async,
 )
+from repro.parallel.cluster import ClusterSpec, build_base_dictionary
 from repro.parallel.comm import CommBackend, InMemoryComm
+from repro.parallel.messages import OutputMsg
 from repro.parallel.routing import DataPartitionRouter, Router, RulePartitionRouter
 from repro.parallel.stats import NodeRoundStats, RunStats
 from repro.parallel.supervisor import SupervisionPolicy
@@ -47,9 +51,10 @@ from repro.partitioning.base import DataPartitioningResult, RulePartitioningResu
 from repro.partitioning.data_generic import default_vocabulary, partition_data
 from repro.partitioning.policies import GraphPartitioningPolicy, PartitioningPolicy
 from repro.partitioning.rulepart import graph_workload_estimator, partition_rules
-from repro.rdf.dictionary import PartitionDictionary, TermDictionary
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph
+from repro.rdf.triple import Triple
 from repro.util.timing import Stopwatch
 
 Approach = Literal["data", "rule"]
@@ -73,18 +78,11 @@ class ParallelRunResult(RunOutput):
         dictionary: TermDictionary | None = None,
         store: IdGraph | None = None,
     ) -> None:
-        super().__init__(graph, dictionary, store, workers)
+        super().__init__(graph, dictionary, store, workers, engine_stats)
         self.stats = stats
         self.approach: Approach = approach
         self.data_partitioning = data_partitioning
         self.rule_partitioning = rule_partitioning
-        #: Cluster-wide engine counters: the sum of every worker's per-round
-        #: fixpoint stats, so a parallel load reports the same six-field
-        #: accounting a serial :class:`~repro.datalog.columnar.ColumnarEngine`
-        #: run would (the backward bootstrap contributes only to the
-        #: per-round ``work`` scalar in :attr:`stats`, not here).
-        self.engine_stats = (
-            engine_stats if engine_stats is not None else EngineStats())
 
     @property
     def k(self) -> int:
@@ -92,13 +90,22 @@ class ParallelRunResult(RunOutput):
 
 
 def run_rounds(
-    workers: Sequence[PartitionWorker], comm: CommBackend, max_rounds: int
-) -> list[list[NodeRoundStats]]:
-    """The BSP loop of Algorithm 3: bootstrap every worker, then exchange
-    and step in lock-step until a round sends nothing (the paper's
-    termination condition).  Returns ``rounds[r][i]``, node i's
-    measurements in round r."""
-    rounds: list[list[NodeRoundStats]] = []
+    spec: ClusterSpec, comm: CommBackend, stats: RunStats,
+    max_rounds: int = 10_000,
+) -> RunOutput:
+    """The BSP loop of Algorithm 3: build the spec's nodes, bootstrap
+    every worker, then exchange and step in lock-step until a round sends
+    nothing (the paper's termination condition), and gather.
+
+    ``stats`` is filled in: building the nodes — scattering the
+    partitions into their stores — is charged to ``partition_time``,
+    ``rounds[r][i]`` holds node i's measurements in round r, and the
+    gather is ``aggregation_time``."""
+    watch = Stopwatch()
+    spec = spec.for_run()
+    workers = [spec.worker(i) for i in range(spec.k)]
+    stats.partition_time += watch.elapsed()
+    rounds = stats.rounds
     #: Bytes addressed to each node by the previous round — what it
     #: consumes at the start of this one (exact: same process).
     inbound: dict[int, int] = {}
@@ -126,12 +133,18 @@ def run_rounds(
                 inbound[batch.dest] = (
                     inbound.get(batch.dest, 0) + batch.payload_bytes())
         if comm.pending() == 0:
-            return rounds
+            break
         results = [w.step(comm.recv_all(w.node_id)) for w in workers]
-    raise RuntimeError(
-        f"no termination after {max_rounds} rounds — "
-        "routing is likely re-sending tuples in a cycle"
-    )
+    else:
+        raise RuntimeError(
+            f"no termination after {max_rounds} rounds — "
+            "routing is likely re-sending tuples in a cycle"
+        )
+    watch = Stopwatch()
+    dictionary, store, engine_stats = gather_rows(
+        spec, map(OutputMsg.of, workers))
+    stats.aggregation_time = watch.elapsed()
+    return RunOutput(None, dictionary, store, workers, engine_stats)
 
 
 class ParallelReasoner:
@@ -167,9 +180,7 @@ class ParallelReasoner:
         store: str | None = None,
         memory_budget_bytes: int | None = None,
         encode_wire: bool = True,
-        degrade: str = "abort",
-        max_retries: int = 2,
-        supervision: "SupervisionPolicy | None" = None,
+        supervision: SupervisionPolicy | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if k <= 0:
@@ -207,27 +218,37 @@ class ParallelReasoner:
         #: (:mod:`repro.analysis.sanitize`); ``None`` defers to the
         #: ``REPRO_SANITIZE`` environment variable.
         self.sanitize = sanitize
-        if degrade not in ("abort", "recover"):
-            raise ValueError(f'degrade must be "abort" or "recover", got {degrade!r}')
         #: Failure handling for :meth:`materialize_async` (see
-        #: :mod:`repro.parallel.supervisor`): ``"abort"`` raises the typed
-        #: :class:`~repro.parallel.supervisor.WorkerFailure`; ``"recover"``
-        #: re-runs a lost node's partition on a survivor.
-        self.degrade = degrade
-        self.max_retries = max_retries
-        #: Full :class:`~repro.parallel.supervisor.SupervisionPolicy`
-        #: override; when set, ``degrade``/``max_retries`` are ignored.
+        #: :mod:`repro.parallel.supervisor`): the default aborts with the
+        #: typed :class:`~repro.parallel.supervisor.WorkerFailure`;
+        #: ``degrade="recover"`` re-runs a lost node's partition on a
+        #: survivor.
         self.supervision = supervision
 
     # -- the run ---------------------------------------------------------------
 
-    def _partition(
-        self, instance: Graph
+    def _plan(
+        self, instance: Graph, schema: Graph, stats: RunStats | None = None,
+        adds: Sequence[Triple] = (), removes: Sequence[Triple] = (),
     ) -> tuple[DataPartitioningResult | None, RulePartitioningResult | None,
-               frozenset]:
-        """Algorithm 1 or Algorithm 2 over the instance data:
-        ``(data result, rule result, vocabulary)`` — exactly one result is
-        set, and the vocabulary is empty for rule partitioning."""
+               ClusterSpec]:
+        """Algorithm 1 or Algorithm 2 over the instance data, written down
+        as the run's :class:`~repro.parallel.cluster.ClusterSpec`:
+        ``(data result, rule result, spec)`` — exactly one result is set.
+        The partitioning itself is charged to ``stats.partition_time``.
+
+        The shared base is seeded with the compiled rules (their ground
+        terms are the bulk of what workers would otherwise mint and ship
+        as delta entries), the schema graphs — so the gather mints nothing
+        while the workers are resident on it — and any maintenance
+        ``adds`` / ``removes`` the master itself will put on the wire."""
+        extra = [schema, self.compiled.schema]
+        if adds or removes:
+            extra += [Graph(adds), Graph(removes)]
+        base = build_base_dictionary(
+            [instance], extra=extra, rules=self.compiled.rules)
+        watch = Stopwatch()
+        data_result = rule_result = None
         if self.approach == "data":
             # Vocabulary = class URIs in the data plus every TBox resource:
             # inference can type instances with classes (e.g. restriction
@@ -238,19 +259,34 @@ class ParallelReasoner:
             data_result = partition_data(instance, self.policy, self.k,
                                          strip_schema=False,
                                          vocabulary=vocabulary)
-            return data_result, None, frozenset(vocabulary)
-        rule_result = partition_rules(
-            self.compiled.rules, self.k,
-            predicate_stats=(
-                predicate_counts(instance) if self.weight_rule_edges else None),
-            workload_estimator=(
-                graph_workload_estimator(instance)
-                if self.weight_rule_edges
-                else None
-            ),
-            seed=self.seed,
-        )
-        return None, rule_result, frozenset()
+            router: Router = DataPartitionRouter(
+                data_result.owner, vocabulary=frozenset(vocabulary))
+            partitions: Sequence[Graph] = data_result.partitions
+            rule_sets: Sequence = [self.compiled.rules] * self.k
+        else:
+            rule_result = partition_rules(
+                self.compiled.rules, self.k,
+                predicate_stats=(
+                    predicate_counts(instance)
+                    if self.weight_rule_edges else None),
+                workload_estimator=(
+                    graph_workload_estimator(instance)
+                    if self.weight_rule_edges
+                    else None
+                ),
+                seed=self.seed,
+            )
+            router = RulePartitionRouter(rule_result.rule_sets)
+            partitions = [instance] * self.k  # every node gets the full data
+            rule_sets = rule_result.rule_sets
+        spec = ClusterSpec.build(
+            partitions, rule_sets, router, (schema, self.compiled.schema),
+            base=base, strategy=self.strategy, store=self.store,
+            memory_budget_bytes=self.memory_budget_bytes,
+            sanitize=self.sanitize, supervision=self.supervision)
+        if stats is not None:
+            stats.partition_time = watch.elapsed()
+        return data_result, rule_result, spec
 
     def materialize(
         self, graph: Graph, preflight: str | None = None
@@ -270,89 +306,21 @@ class ParallelReasoner:
         self._preflight(preflight)
         schema, instance = split_schema(graph)
         stats = RunStats(k=self.k)
-
-        # Seed the shared base with the compiled rules (their ground terms
-        # are the bulk of what workers would otherwise mint and ship as
-        # delta entries) and with the schema graphs, so the aggregation
-        # below mints nothing while the workers are resident on it.
-        base = build_base_dictionary(
-            [instance], extra=[schema, self.compiled.schema],
-            rules=self.compiled.rules)
-
-        watch = Stopwatch()
-        data_result, rule_result, vocabulary = self._partition(instance)
-        if data_result is not None:
-            router: Router = DataPartitionRouter(
-                data_result.owner, vocabulary=vocabulary)
-            bases: Sequence[Graph] = data_result.partitions
-            rule_sets: Sequence = [self.compiled.rules] * self.k
-        else:
-            assert rule_result is not None
-            router = RulePartitionRouter(rule_result.rule_sets)
-            bases = [instance] * self.k  # every node gets the full data set
-            rule_sets = rule_result.rule_sets
-        workers = [
-            PartitionWorker(
-                node_id=i,
-                base=bases[i],
-                rules=rule_sets[i],
-                router=router,
-                dictionary=PartitionDictionary(base, i, self.k),
-                strategy=self.strategy,
-                store=self.store,
-                memory_budget_bytes=self.memory_budget_bytes,
-                sanitize=self.sanitize,
-            )
-            for i in range(self.k)
-        ]
-        stats.partition_time = watch.elapsed()
-
-        stats.rounds = run_rounds(workers, self.comm, self.max_rounds)
-
-        agg_watch = Stopwatch()
-        dictionary, store = gather_rows(workers, schema, self.compiled.schema)
-        engine_stats = EngineStats()
-        for w in workers:
-            engine_stats.merge(w.engine_stats)
-        stats.aggregation_time = agg_watch.elapsed()
-
+        data_result, rule_result, spec = self._plan(instance, schema, stats)
+        run = run_rounds(spec, self.comm, stats, self.max_rounds)
         return ParallelRunResult(
             None,
             stats,
             self.approach,
             data_partitioning=data_result,
             rule_partitioning=rule_result,
-            engine_stats=engine_stats,
-            workers=workers,
-            dictionary=dictionary,
-            store=store,
+            engine_stats=run.engine_stats,
+            workers=run.workers,
+            dictionary=run.dictionary,
+            store=run.store,
         )
 
     # -- the asynchronous run --------------------------------------------------
-
-    def _partition_async(self, instance: Graph):
-        """Partition for the round-free backends, which rebuild routers on
-        the far side of a process boundary from plain picklable inputs:
-        ``(partitions, rules_per_node, router_kind, owner_table, rule_sets)``.
-        """
-        data_result, rule_result, _vocabulary = self._partition(instance)
-        if data_result is not None:
-            return (
-                data_result.partitions,
-                [list(self.compiled.rules) for _ in range(self.k)],
-                "data",
-                dict(data_result.owner.table),
-                None,
-            )
-        assert rule_result is not None
-        rule_sets = [list(rs) for rs in rule_result.rule_sets]
-        return (
-            [instance] * self.k,  # every node sees the full data set
-            rule_sets,
-            "rule",
-            None,
-            rule_sets,
-        )
 
     def materialize_async(
         self,
@@ -361,11 +329,11 @@ class ParallelReasoner:
         start_method: str | None = None,
         delivery: str = "fifo",
         faults=None,
-        idle_timeout: float = 120.0,
         preflight: str | None = None,
     ) -> AsyncRunResult:
         """Materialize via the supervised round-free runtime instead of
-        BSP rounds; returns an
+        BSP rounds, on the same :class:`~repro.parallel.cluster.
+        ClusterSpec` :meth:`materialize` runs; returns an
         :class:`~repro.parallel.async_backend.AsyncRunResult` whose graph
         includes the schema closure (same KB as :meth:`materialize`).
 
@@ -374,45 +342,23 @@ class ParallelReasoner:
         the default runs in-process with controllable ``delivery`` order
         and optional deterministic ``faults``
         (:class:`~repro.parallel.faults.FaultPlan`).  Either way, the
-        reasoner's ``degrade``/``max_retries``/``supervision`` knobs
-        decide whether a worker failure aborts the run (typed
+        reasoner's ``supervision`` policy decides whether a worker
+        failure aborts the run (typed
         :class:`~repro.parallel.supervisor.WorkerFailure`) or triggers
         ledger-replay recovery on a survivor.
         """
         self._preflight(preflight)
         schema, instance = split_schema(graph)
-        schema_graphs = (schema, self.compiled.schema)
-        partitions, rules_per_node, router_kind, owner_table, rule_sets = (
-            self._partition_async(instance)
-        )
+        _data, _rules, spec = self._plan(instance, schema)
         if multiprocess:
             if faults is not None:
                 raise ValueError(
                     "FaultPlan drives the in-process executor only; inject "
                     "multiprocess crashes via the REPRO_FAULT_KILL env var"
                 )
-            return run_multiprocess_async(
-                partitions, rules_per_node, router_kind,
-                owner_table=owner_table, rule_sets=rule_sets,
-                schema_graphs=schema_graphs,
-                start_method=start_method, idle_timeout=idle_timeout,
-                degrade=self.degrade, max_retries=self.max_retries,
-                supervision=self.supervision, store=self.store,
-                memory_budget_bytes=self.memory_budget_bytes,
-                sanitize=self.sanitize,
-            )
-        policy = self.supervision
+            return run_multiprocess_async(spec, start_method=start_method)
         return run_async_inprocess(
-            partitions, rules_per_node, router_kind,
-            owner_table=owner_table, rule_sets=rule_sets,
-            schema_graphs=schema_graphs,
-            delivery=delivery, seed=self.seed, faults=faults,
-            degrade=policy.degrade if policy else self.degrade,
-            max_retries=policy.max_retries if policy else self.max_retries,
-            store=self.store,
-            memory_budget_bytes=self.memory_budget_bytes,
-            sanitize=self.sanitize,
-        )
+            spec, delivery=delivery, seed=self.seed, faults=faults)
 
     def apply_async(
         self,
@@ -435,19 +381,12 @@ class ParallelReasoner:
         whose graph equals re-closing ``(base ∖ removes) ∪ adds``.
         """
         schema, instance = split_schema(graph)
-        partitions, rules_per_node, router_kind, owner_table, rule_sets = (
-            self._partition_async(instance)
-        )
+        adds, removes = list(adds), list(removes)
+        _data, _rules, spec = self._plan(
+            instance, schema, adds=adds, removes=removes)
         return run_apply_inprocess(
-            partitions, rules_per_node, router_kind,
-            adds=list(adds), removes=list(removes),
-            owner_table=owner_table, rule_sets=rule_sets,
-            schema_graphs=(schema, self.compiled.schema),
-            delivery=delivery, seed=self.seed,
-            store=self.store,
-            memory_budget_bytes=self.memory_budget_bytes,
-            sanitize=self.sanitize,
-        )
+            spec, adds=adds, removes=removes, delivery=delivery,
+            seed=self.seed)
 
     # -- helpers -----------------------------------------------------------------
 

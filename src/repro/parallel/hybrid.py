@@ -33,17 +33,14 @@ from dataclasses import dataclass
 from repro.datalog.analysis import check_data_partitionable
 from repro.owl.compiler import CompiledRuleSet, compile_ontology
 from repro.owl.reasoner import split_schema
-from repro.parallel.aggregate import gather_rows
-from repro.parallel.async_backend import build_base_dictionary
+from repro.parallel.cluster import ClusterSpec, build_base_dictionary
 from repro.parallel.comm import CommBackend, InMemoryComm
 from repro.parallel.driver import ParallelRunResult, run_rounds
 from repro.parallel.routing import DataPartitionRouter, RulePartitionRouter
 from repro.parallel.stats import RunStats
-from repro.parallel.worker import PartitionWorker
 from repro.partitioning.data_generic import default_vocabulary, partition_data
 from repro.partitioning.policies import GraphPartitioningPolicy, PartitioningPolicy
 from repro.partitioning.rulepart import graph_workload_estimator, partition_rules
-from repro.rdf.dictionary import PartitionDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.util.timing import Stopwatch
@@ -175,33 +172,25 @@ class HybridParallelReasoner:
         rule_router = RulePartitionRouter(rule_result.rule_sets)
         router = HybridRouter(data_router, rule_router, cfg.k_data, cfg.k_rules)
 
-        workers = [
-            PartitionWorker(
-                node_id=router.node_id(row, col),
-                base=data_result.partitions[row],
-                rules=rule_result.rule_sets[col],
-                router=router,
-                dictionary=PartitionDictionary(
-                    base, router.node_id(row, col), cfg.k),
-            )
-            for row in range(cfg.k_data)
-            for col in range(cfg.k_rules)
-        ]
+        # Node (row, col) = row * k_rules + col: data partition `row`,
+        # rule subset `col`.
+        cells = [(row, col) for row in range(cfg.k_data)
+                 for col in range(cfg.k_rules)]
+        spec = ClusterSpec.build(
+            [data_result.partitions[row] for row, _col in cells],
+            [rule_result.rule_sets[col] for _row, col in cells],
+            router, (schema, self.compiled.schema), base=base)
         stats.partition_time = watch.elapsed()
 
-        stats.rounds = run_rounds(workers, self.comm, self.max_rounds)
-
-        agg = Stopwatch()
-        dictionary, store = gather_rows(workers, schema, self.compiled.schema)
-        stats.aggregation_time = agg.elapsed()
-
+        run = run_rounds(spec, self.comm, stats, self.max_rounds)
         return ParallelRunResult(
             None,
             stats,
             "data",  # closest ancestor for downstream consumers
             data_partitioning=data_result,
             rule_partitioning=rule_result,
-            workers=workers,
-            dictionary=dictionary,
-            store=store,
+            engine_stats=run.engine_stats,
+            workers=run.workers,
+            dictionary=run.dictionary,
+            store=run.store,
         )

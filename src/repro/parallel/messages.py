@@ -20,12 +20,16 @@ corrupt the termination ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
+
+if TYPE_CHECKING:
+    from repro.datalog.engine import EngineStats
+    from repro.parallel.worker import PartitionWorker
 
 #: Wire cost of one id-encoded tuple: three little-endian int64 columns.
 ROW_BYTES = 24
@@ -235,13 +239,33 @@ class Produced:
     consumed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputMsg:
-    """Worker -> master: one logical node's final KB."""
+    """Worker -> master: one logical node's final KB as rows — its store's
+    id columns plus the ``(id, term)`` pairs of every non-base id in them
+    (ids this node minted or learned from a peer; base ids every process
+    already decodes) — and its cumulative engine counters.  What
+    :func:`repro.parallel.aggregate.gather_rows` unions."""
 
     node_id: int
     epoch: int
-    triples: tuple
+    s: np.ndarray
+    p: np.ndarray
+    o: np.ndarray
+    delta: tuple[tuple[int, Term], ...]
+    engine_stats: EngineStats
+
+    @classmethod
+    def of(cls, worker: PartitionWorker) -> OutputMsg:
+        """A resident worker's final KB as this message."""
+        s, p, o = worker.output_rows()
+        d = worker.dictionary
+        base_size = d.base_size
+        minted = np.unique(np.concatenate(
+            [s[s >= base_size], p[p >= base_size], o[o >= base_size]]))
+        delta = tuple(zip(minted.tolist(), d.decode_many(minted)))
+        return cls(worker.node_id, worker.epoch, s, p, o, delta,
+                   worker.engine_stats)
 
 
 @dataclass(frozen=True)
@@ -254,13 +278,13 @@ class Deliver:
 
 @dataclass(frozen=True)
 class Adopt:
-    """Master -> worker: host a lost node.  ``config`` is the dead node's
-    (picklable) spawn configuration; the master follows with the node's
-    full relay log as ordinary :class:`Deliver` messages."""
+    """Master -> worker: host a lost node.  Every process holds the whole
+    :class:`~repro.parallel.cluster.ClusterSpec`, so the node id and the
+    new epoch are all it needs; the master follows with the node's full
+    relay log as ordinary :class:`Deliver` messages."""
 
     node_id: int
     epoch: int
-    config: object
 
 
 @dataclass(frozen=True)

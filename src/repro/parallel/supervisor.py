@@ -11,6 +11,8 @@ backends one shared vocabulary for reacting to them:
   typed failure, "recover" re-runs the lost partition on a survivor),
   ``max_retries``/``retry_backoff``, heartbeat cadence, hang/idle
   deadlines, and teardown grace periods.
+* :func:`start_workers` — one process per node, each with its own inbox
+  queue and its own worker -> master pipe.
 * :class:`ProcessSupervisor` — folds process ``is_alive``/``exitcode``
   polling into every blocking outbox wait (:meth:`ProcessSupervisor.get`),
   absorbs :class:`~repro.parallel.messages.Heartbeat` messages into
@@ -37,10 +39,9 @@ de-duplicate, so re-derived tuples are harmless.  See DESIGN.md §8.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.parallel.messages import Heartbeat
 
@@ -205,6 +206,31 @@ def shutdown_processes(
             proc.join(timeout=grace)
 
 
+def start_workers(
+    ctx: Any, target: Callable, spec: Any
+) -> tuple[list, list, list]:
+    """Start ``target(spec, i, inbox, outbox)`` in one process per node
+    of ``spec``; returns ``(processes, inboxes, outboxes)``.
+
+    Every process sends to the master on a pipe of its own, and holds its
+    only write end.  A process that dies mid-message therefore leaves an
+    end-of-file on its own pipe — where a queue shared by all workers
+    would keep its write lock held by the dead process, and every
+    survivor's next send would block behind it forever.
+    """
+    processes, inboxes, outboxes = [], [], []
+    for i in range(spec.k):
+        inbox = ctx.Queue()
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=target, args=(spec, i, inbox, writer))
+        proc.start()
+        writer.close()
+        processes.append(proc)
+        inboxes.append(inbox)
+        outboxes.append(reader)
+    return processes, inboxes, outboxes
+
+
 class ProcessSupervisor:
     """Master-side watchdog over the worker processes.
 
@@ -315,18 +341,22 @@ class ProcessSupervisor:
                 ):
                     raise self._failure(i, "hang", None)
 
-    def get(self, outbox):
-        """Blocking ``outbox.get`` with liveness folded in.
+    def get(self, outboxes: list):
+        """The next message from any of the workers' pipes
+        (:func:`start_workers`), with liveness folded into the wait.
 
         Returns the next non-heartbeat message; raises
         :class:`WorkerFailure` on process death, heartbeat-silence beyond
-        ``hang_timeout``, or ``idle_timeout`` without any message."""
+        ``hang_timeout``, or ``idle_timeout`` without any message.  A pipe
+        at end-of-file — its process is gone — is dropped from
+        ``outboxes``; the next liveness check names the process."""
+        from multiprocessing.connection import wait
+
         deadline = time.monotonic() + self.policy.idle_timeout
         while True:
             self.check()
-            try:
-                msg = outbox.get(timeout=self.policy.poll_interval)
-            except queue_mod.Empty:
+            ready = wait(outboxes, timeout=self.policy.poll_interval)
+            if not ready:
                 if time.monotonic() > deadline:
                     silent = [
                         n
@@ -344,6 +374,11 @@ class ProcessSupervisor:
                         forwarded=[f for f, _ in counts],
                         consumed=[c for _, c in counts],
                     ) from None
+                continue
+            try:
+                msg = ready[0].recv()
+            except EOFError:
+                outboxes.remove(ready[0])
                 continue
             if isinstance(msg, Heartbeat):
                 self.note(msg.node_id)

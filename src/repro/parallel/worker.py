@@ -55,7 +55,7 @@ from repro.rdf.dictionary import (
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, concat_columns, member_mask
 from repro.rdf.runstore import RunStore
-from repro.rdf.stores import make_store, store_kind
+from repro.rdf.stores import make_store
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 from repro.util.timing import Stopwatch
@@ -131,24 +131,18 @@ class PartitionWorker:
         #: env-configured crash injection (see repro.parallel.faults).
         self._steps = 0
         self.rules = tuple(rules)
-        #: Store choice: "dense" (IdGraph) or "run" — the memory-budgeted
-        #: compressed :class:`RunStore`; ``None`` derives it from whether
-        #: a budget was given.  Recorded on the worker so supervision can
-        #: rebuild adopted incarnations with the same storage and budget.
-        self.store = store_kind(store, memory_budget_bytes)
-        self.memory_budget_bytes = memory_budget_bytes
-        #: Runtime-sanitizer switch (tri-state; None defers to
-        #: REPRO_SANITIZE).  Recorded so supervision rebuilds adopted
-        #: incarnations with the same checking.
-        self.sanitize = sanitize
         #: Fresh rows are routed by id: the sent-dedup and (where the
         #: router supports it) destination lookups key on int id-triples,
         #: and a term minted here ships to a given peer once, in a batch's
         #: delta-dictionary.
         self.dictionary = dictionary
         self._columnar = ColumnarEngine(self.rules, dictionary)
+        #: ``store``: "dense" (IdGraph) or "run" — the memory-budgeted
+        #: compressed :class:`RunStore`; ``None`` derives it from whether
+        #: a budget was given.  ``sanitize`` (None defers to
+        #: REPRO_SANITIZE) selects the runtime-checked subclasses.
         self._idgraph: IdGraph | RunStore = make_store(
-            self.store,
+            store,
             capacity=len(base),
             memory_budget_bytes=memory_budget_bytes,
             sanitize=sanitize,

@@ -141,6 +141,23 @@ def test_st303_blessed_minting_site_stays_clean():
     assert any(r.allowed for r in STRIPE_RULES)
 
 
+def test_st303_one_stripe_formula_in_the_parallel_runtime():
+    # The cluster spec's node factory is the only place a worker's stripe
+    # index (node + epoch*k) may be computed ...
+    allowed = {q for r in STRIPE_RULES if r.module.startswith("repro.parallel.")
+               for q in r.allowed}
+    assert allowed == {"ClusterSpec.worker"}
+    # ... so a second copy of the formula in an executor fails loudly.
+    src = module_source("repro.parallel.async_backend")
+    drifted = src + (
+        "\n\ndef _replacement_stripe(node, epoch, k):\n"
+        "    return node + epoch * k\n"
+    )
+    findings = verify_stores(sources={"repro.parallel.async_backend": drifted})
+    assert "ST303" in codes(findings)
+    assert any("_replacement_stripe" in f.message for f in findings)
+
+
 # -- drift injection: ST304 (writes bypassing the mutation API) ---------------
 
 

@@ -1,8 +1,10 @@
 """Fault-injection tests for the supervised parallel runtime.
 
 The contract under test (DESIGN.md §8): a worker failure — killed,
-frozen, or crashed process — must never hang the master.  With
-``degrade="abort"`` it surfaces as a typed
+frozen, or crashed process — must never hang the master.  Failure
+handling is configured only by the spec's
+:class:`~repro.parallel.supervisor.SupervisionPolicy`.  With
+``degrade="abort"`` a failure surfaces as a typed
 :class:`~repro.parallel.supervisor.WorkerFailure` naming the dead node;
 with ``degrade="recover"`` the lost node's partition is re-run from its
 input triples plus the replay of the master's relay ledger, and the final
@@ -10,8 +12,8 @@ closure must be *identical* to the serial fixpoint.  Dropped, duplicated,
 and delayed batches must leave the fixpoint unchanged without any
 recovery at all.
 
-Every test that waits on real processes passes explicit, short
-``idle_timeout`` bounds so a regression fails fast instead of wedging the
+Every test that waits on real processes sets explicit, short
+``idle_timeout`` bounds in its policy so a regression fails fast instead of wedging the
 suite (CI adds a job-level timeout and pytest-timeout on top).
 """
 
@@ -31,17 +33,19 @@ from repro.owl.vocabulary import OWL, RDF
 from repro.parallel import (
     INJECTED_EXIT_CODE,
     ChannelFault,
+    ClusterSpec,
+    DataPartitionRouter,
     FailureRecord,
     FaultPlan,
     ParallelReasoner,
     SupervisionPolicy,
     WorkerFailure,
     run_async_inprocess,
+    run_multiprocess,
     run_multiprocess_async,
     shutdown_processes,
 )
 from repro.parallel.faults import KILL_ENV, env_kill_plan
-from repro.parallel.mp_backend import run_multiprocess
 from repro.parallel.trace import async_stats_from_json, async_stats_to_json
 from repro.partitioning import (
     GraphPartitioningPolicy,
@@ -103,6 +107,15 @@ def _setup(tbox, data, k):
     return crs, serial, dp
 
 
+def _spec(dp, rules, **policy):
+    """Data partitioning over ``dp``, every node running ``rules``; the
+    failure handling is the policy and nothing else."""
+    return ClusterSpec.build(
+        dp.partitions, [rules] * len(dp.partitions),
+        DataPartitionRouter(dp.owner),
+        supervision=SupervisionPolicy(**policy))
+
+
 # --- in-process fault plans ---------------------------------------------------
 
 
@@ -111,10 +124,8 @@ class TestInProcessKill:
     def test_recover_matches_serial(self, tbox, data, victim):
         crs, serial, dp = _setup(tbox, data, k=3)
         result = run_async_inprocess(
-            dp.partitions, [crs.rules] * 3, "data",
-            owner_table=dict(dp.owner.table),
+            _spec(dp, crs.rules, degrade="recover"),
             faults=FaultPlan(kill_after={victim: 1}),
-            degrade="recover",
         )
         assert result.graph == serial
         assert result.stats.worker_failures == 1
@@ -132,10 +143,8 @@ class TestInProcessKill:
         crs, _, dp = _setup(tbox, data, k=3)
         with pytest.raises(WorkerFailure) as err:
             run_async_inprocess(
-                dp.partitions, [crs.rules] * 3, "data",
-                owner_table=dict(dp.owner.table),
+                _spec(dp, crs.rules, degrade="abort"),
                 faults=FaultPlan(kill_after={1: 1}),
-                degrade="abort",
             )
         assert err.value.node_ids == (1,)
         assert err.value.reason == "killed"
@@ -145,19 +154,15 @@ class TestInProcessKill:
         crs, _, dp = _setup(tbox, data, k=3)
         with pytest.raises(WorkerFailure):
             run_async_inprocess(
-                dp.partitions, [crs.rules] * 3, "data",
-                owner_table=dict(dp.owner.table),
+                _spec(dp, crs.rules, degrade="recover", max_retries=0),
                 faults=FaultPlan(kill_after={1: 1}),
-                degrade="recover", max_retries=0,
             )
 
     def test_freeze_recover_matches_serial(self, tbox, data):
         crs, serial, dp = _setup(tbox, data, k=3)
         result = run_async_inprocess(
-            dp.partitions, [crs.rules] * 3, "data",
-            owner_table=dict(dp.owner.table),
+            _spec(dp, crs.rules, degrade="recover"),
             faults=FaultPlan(freeze_after={2: 0}),
-            degrade="recover",
         )
         assert result.graph == serial
         assert result.stats.failures[0].reason == "frozen"
@@ -172,10 +177,7 @@ class TestChannelFaults:
         """All (sender, dest) channels that actually carry a batch in a
         fault-free run, so fault indexes below always hit a real batch."""
         crs, serial, dp = _setup(tbox, data, k=k)
-        clean = run_async_inprocess(
-            dp.partitions, [crs.rules] * k, "data",
-            owner_table=dict(dp.owner.table),
-        )
+        clean = run_async_inprocess(_spec(dp, crs.rules))
         return crs, serial, dp, clean
 
     @pytest.mark.parametrize("action", ["drop", "duplicate", "delay"])
@@ -186,10 +188,7 @@ class TestChannelFaults:
             ChannelFault(s, busiest, 0, action)
             for s in range(3) if s != busiest
         ])
-        result = run_async_inprocess(
-            dp.partitions, [crs.rules] * 3, "data",
-            owner_table=dict(dp.owner.table), faults=faults,
-        )
+        result = run_async_inprocess(_spec(dp, crs.rules), faults=faults)
         assert result.graph == serial
         assert result.stats.worker_failures == 0
         if action == "drop":
@@ -233,10 +232,9 @@ def test_kill_recover_equals_naive_closure(g, k, victim_seed):
     dp = partition_data(g, HashPartitioningPolicy(), k=k)
     victim = victim_seed % k
     result = run_async_inprocess(
-        dp.partitions, [_DIFF_RULES] * k, "data", owner_table={},
+        _spec(dp, _DIFF_RULES, degrade="recover"),
         delivery="shuffle", seed=victim_seed,
         faults=FaultPlan(kill_after={victim: 0}),
-        degrade="recover",
     )
     assert result.graph == serial
     # Either the victim never received a message (no stall, no failure)
@@ -254,10 +252,8 @@ def test_mp_kill_recover_matches_serial(tbox, data, start_method, kill_env):
     crs, serial, dp = _setup(tbox, data, k=3)
     kill_env(1, 1)  # node 1 hard-exits on its first step
     result = run_multiprocess_async(
-        dp.partitions, [crs.rules] * 3, "data",
-        owner_table=dict(dp.owner.table),
-        start_method=start_method, idle_timeout=60.0,
-        degrade="recover",
+        _spec(dp, crs.rules, idle_timeout=60.0, degrade="recover"),
+        start_method=start_method,
     )
     assert result.graph == serial
     assert result.stats.worker_failures == 1
@@ -275,10 +271,7 @@ def test_mp_abort_raises_typed_error_within_deadline(tbox, data, kill_env):
     start = time.monotonic()
     with pytest.raises(WorkerFailure) as err:
         run_multiprocess_async(
-            dp.partitions, [crs.rules] * 3, "data",
-            owner_table=dict(dp.owner.table),
-            idle_timeout=30.0, degrade="abort",
-        )
+            _spec(dp, crs.rules, idle_timeout=30.0, degrade="abort"))
     elapsed = time.monotonic() - start
     assert 2 in err.value.node_ids
     assert err.value.reason == "exit"
@@ -296,10 +289,7 @@ def test_mp_recovery_stats_exported_for_ci(tbox, data, kill_env, tmp_path):
     crs, serial, dp = _setup(tbox, data, k=3)
     kill_env(0, 2)
     result = run_multiprocess_async(
-        dp.partitions, [crs.rules] * 3, "data",
-        owner_table=dict(dp.owner.table),
-        idle_timeout=60.0, degrade="recover",
-    )
+        _spec(dp, crs.rules, idle_timeout=60.0, degrade="recover"))
     assert result.graph == serial
     document = async_stats_to_json(result.stats)
     out = os.environ.get("FAULT_STATS_JSON")
@@ -321,10 +311,12 @@ def test_lubm_kill_recover_matches_serial():
 
     ds = LUBM(1, seed=0)
     serial = HorstReasoner(ds.ontology).materialize(ds.data).graph
-    pr = ParallelReasoner(ds.ontology, k=3, degrade="recover")
+    pr = ParallelReasoner(
+        ds.ontology, k=3, supervision=SupervisionPolicy(degrade="recover"))
     sync = pr.materialize(ds.data).graph
+    # Node 1 is delivered two batches here: it dies on the second.
     result = pr.materialize_async(
-        ds.data, faults=FaultPlan(kill_after={1: 3}),
+        ds.data, faults=FaultPlan(kill_after={1: 1}),
     )
     assert result.graph == sync
     # The serial instance closure is contained in the recovered output
@@ -347,9 +339,8 @@ def test_lockstep_dead_worker_raises_instead_of_hanging(
     start = time.monotonic()
     with pytest.raises(WorkerFailure) as err:
         run_multiprocess(
-            dp.partitions, [crs.rules] * 2, "data",
-            owner_table=dict(dp.owner.table),
-            start_method=start_method, idle_timeout=30.0,
+            _spec(dp, crs.rules, idle_timeout=30.0),
+            start_method=start_method,
         )
     assert 1 in err.value.node_ids
     assert err.value.exitcode == INJECTED_EXIT_CODE
@@ -359,10 +350,7 @@ def test_lockstep_dead_worker_raises_instead_of_hanging(
 @pytest.mark.slow
 def test_lockstep_still_correct_under_supervision(tbox, data):
     crs, serial, dp = _setup(tbox, data, k=2)
-    union = run_multiprocess(
-        dp.partitions, [crs.rules] * 2, "data",
-        owner_table=dict(dp.owner.table), idle_timeout=60.0,
-    )
+    union = run_multiprocess(_spec(dp, crs.rules, idle_timeout=60.0))
     assert union.graph == serial
 
 
@@ -404,13 +392,20 @@ class TestPolicyValidation:
             SupervisionPolicy(max_retries=-1)
 
     def test_driver_rejects_bad_degrade(self, tbox):
+        # Failure handling reaches the driver only as a SupervisionPolicy.
+        with pytest.raises(TypeError):
+            ParallelReasoner(tbox, k=2, degrade="recover")
         with pytest.raises(ValueError):
-            ParallelReasoner(tbox, k=2, degrade="panic")
+            ParallelReasoner(
+                tbox, k=2, supervision=SupervisionPolicy(degrade="panic"))
 
     def test_backend_rejects_bad_degrade(self, data):
+        # ... and reaches an executor only inside the spec.
+        dp = partition_data(data, HashPartitioningPolicy(), k=1)
+        with pytest.raises(TypeError):
+            run_async_inprocess(_spec(dp, []), degrade="recover")
         with pytest.raises(ValueError):
-            run_async_inprocess([data], [[]], "data", owner_table={},
-                                degrade="panic")
+            _spec(dp, [], degrade="panic")
 
     def test_env_plan_parsing(self, monkeypatch):
         monkeypatch.delenv(KILL_ENV, raising=False)

@@ -13,8 +13,8 @@ import pytest
 from repro.owl import HorstReasoner
 from repro.owl.compiler import compile_ontology
 from repro.owl.vocabulary import OWL, RDF
-from repro.parallel.async_backend import run_multiprocess_async
-from repro.parallel.mp_backend import run_multiprocess
+from repro.parallel import ClusterSpec, run_multiprocess, run_multiprocess_async
+from repro.parallel.routing import DataPartitionRouter, RulePartitionRouter
 from repro.partitioning import GraphPartitioningPolicy, partition_data, partition_rules
 from repro.rdf import Graph, URI
 
@@ -60,14 +60,12 @@ def test_multiprocess_data_partitioning_matches_serial(tbox, data, start_method)
     crs = compile_ontology(tbox)
     serial = HorstReasoner(tbox).materialize(data)
     dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
-    union = run_multiprocess(
-        dp.partitions,
-        [crs.rules] * 2,
-        "data",
-        owner_table=dict(dp.owner.table),
-        start_method=start_method,
-    )
+    spec = ClusterSpec.build(
+        dp.partitions, [crs.rules] * 2, DataPartitionRouter(dp.owner))
+    union = run_multiprocess(spec, start_method=start_method)
     assert union.graph == serial.graph
+    # The engine counters ride the workers' OutputMsg rows.
+    assert union.engine_stats.derived > 0
 
 
 @pytest.mark.slow
@@ -76,13 +74,9 @@ def test_multiprocess_rule_partitioning_matches_serial(tbox, data, start_method)
     crs = compile_ontology(tbox)
     serial = HorstReasoner(tbox).materialize(data)
     rp = partition_rules(crs.rules, k=2, seed=0)
-    union = run_multiprocess(
-        [data, data],
-        rp.rule_sets,
-        "rule",
-        rule_sets=rp.rule_sets,
-        start_method=start_method,
-    )
+    spec = ClusterSpec.build(
+        [data, data], rp.rule_sets, RulePartitionRouter(rp.rule_sets))
+    union = run_multiprocess(spec, start_method=start_method)
     assert union.graph == serial.graph
 
 
@@ -93,18 +87,15 @@ def test_multiprocess_async_matches_lockstep(tbox, data, start_method):
     real processes, under both start methods."""
     crs = compile_ontology(tbox)
     dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
-    table = dict(dp.owner.table)
-    lockstep = run_multiprocess(
-        dp.partitions, [crs.rules] * 2, "data",
-        owner_table=table, start_method=start_method,
-    )
-    asynchronous = run_multiprocess_async(
-        dp.partitions, [crs.rules] * 2, "data",
-        owner_table=table, start_method=start_method,
-    )
+    spec = ClusterSpec.build(
+        dp.partitions, [crs.rules] * 2, DataPartitionRouter(dp.owner))
+    lockstep = run_multiprocess(spec, start_method=start_method)
+    asynchronous = run_multiprocess_async(spec, start_method=start_method)
     assert asynchronous.graph == lockstep.graph
+    assert asynchronous.engine_stats.derived > 0
 
 
 def test_mismatched_configuration_rejected(data):
+    dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
     with pytest.raises(ValueError):
-        run_multiprocess([data, data], [[]], "data", owner_table={})
+        ClusterSpec.build(dp.partitions, [[]], DataPartitionRouter(dp.owner))

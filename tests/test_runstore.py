@@ -413,7 +413,6 @@ class TestParallelRunStore:
             dictionary=PartitionDictionary(base, 0, 1),
             memory_budget_bytes=1 << 20,
         )
-        assert w.store == "run"
         assert isinstance(w._idgraph, RunStore)
 
     def test_parallel_closure_matches_term_reference(self):

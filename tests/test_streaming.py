@@ -112,13 +112,8 @@ class TestEquivalenceWithInMemory:
         parallel closure as the in-memory path."""
         from repro.owl import HorstReasoner
         from repro.owl.compiler import compile_ontology
-        from repro.parallel.aggregate import gather_rows
-        from repro.parallel.comm import InMemoryComm
-        from repro.parallel.driver import run_rounds
+        from repro.parallel import ClusterSpec, InMemoryComm, RunStats, run_rounds
         from repro.parallel.routing import DataPartitionRouter
-        from repro.parallel.worker import PartitionWorker
-        from repro.rdf.dictionary import decode_rows
-        from tests.helpers import stripes
         from repro.partitioning.base import HashOwner
 
         ds, path = lubm_file
@@ -137,15 +132,8 @@ class TestEquivalenceWithInMemory:
                 report.partition_files[i].read_text(encoding="utf-8")))
             for i in range(k)
         ]
-        dictionaries = stripes(k, *bases, rules=crs.rules)
-        workers = [
-            PartitionWorker(node_id=i, base=bases[i], rules=crs.rules,
-                            router=router, dictionary=dictionaries[i])
-            for i in range(k)
-        ]
-        run_rounds(workers, InMemoryComm(k), max_rounds=1000)
-        dictionary, store = gather_rows(workers)
-        union = Graph(decode_rows(dictionary, *store.columns()))
+        spec = ClusterSpec.build(bases, [crs.rules] * k, router)
+        union = run_rounds(spec, InMemoryComm(k), RunStats(k=k), 1000).graph
 
         serial = HorstReasoner(ds.ontology).materialize(ds.data)
         assert union == serial.graph
