@@ -3,8 +3,8 @@
 ``BENCH_core.json`` is a *snapshot*: the consolidated numbers from the most
 recent bench run (written by ``benchmarks/test_bench_engine.py`` under
 ``BENCH_CORE_JSON``).  This module distils each snapshot into one dated
-summary row — columnar speedup over the compiled engine, columnar
-throughput, the run store's bytes/triple, the id-native query battery's
+summary row — columnar speedup over the compiled engine (``None`` in
+snapshots taken after that engine was deleted), columnar throughput, the run store's bytes/triple, the id-native query battery's
 speedup, and (when ``BENCH_serving.json`` is present) the serving tier's
 best QPS and its p99 — and appends it to ``BENCH_trajectory.json``, so
 regressions show up as a kink in a committed series rather than a diff

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Using the datalog layer directly: write rules in the text syntax, run
-all three engines, and partition a custom rule base (Algorithm 2) —
-the library without the OWL layer on top.
+the semi-naive engine against the naive oracle, ask the backward engine a
+question, and partition a custom rule base (Algorithm 2) — the library
+without the OWL layer on top.
 
 Run:  python examples/custom_rules.py
 """

@@ -337,6 +337,8 @@ STRIPE_RULES: tuple[StripeRule, ...] = (
 #: Modules outside the store sources scanned for foreign writes into
 #: spec-protected attributes (the cross-module half of ST304).
 CONSUMER_MODULES: tuple[str, ...] = (
+    # The join step probes every store kind; it reads, never writes.
+    "repro.datalog.join",
     "repro.datalog.columnar",
     "repro.datalog.incremental",
     "repro.datalog.engine",

@@ -112,15 +112,17 @@ class LintConfig:
     blessed: frozenset[str] = frozenset(
         {"ProcessSupervisor.get", "shutdown_processes"}
     )
-    #: The id-native worker path imports the columnar store and kernels
-    #: inside worker processes, so they carry the same CX104 obligations
-    #: as the parallel runtime proper.
+    #: The id-native worker path imports the columnar store, engine and
+    #: join step inside worker processes, so they carry the same CX104
+    #: obligations as the parallel runtime proper.
     spawn_scope: tuple[str, ...] = (
         "repro/parallel/",
         "repro/rdf/idstore",
         "repro/rdf/runstore",
-        # The vectorized query kernel runs against worker stores (the
-        # distributed fast path imports it inside worker answering).
+        # The one join step answers worker patterns and evaluates every
+        # rule body inside worker processes; the vectorized query surface
+        # rides on it.
+        "repro/datalog/join",
         "repro/rdf/idquery",
         "repro/datalog/columnar",
         "repro/datalog/incremental",

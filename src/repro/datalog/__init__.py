@@ -8,12 +8,14 @@ atoms are triple patterns.  This package implements that model directly:
   terms or :class:`~repro.rdf.terms.Variable`.
 * :class:`Rule` — ``head <- body`` with a single head atom and a conjunctive
   body (a horn clause), exactly the paper's rule shape.
-* :class:`SemiNaiveEngine` — the production forward-chaining fixpoint
-  evaluator used inside every partition.  By default it routes 1-atom and
-  2-atom single-join rules through compiled kernels
-  (:mod:`repro.datalog.plan` / :mod:`repro.datalog.compiled`) and skips
-  rules per round via a predicate dispatch index; the generic interpreter
-  remains as fallback and ablation baseline.
+* :class:`ColumnarEngine` — the one forward-chaining fixpoint, over id
+  stores, run inside every partition and by the KB.  Each rule is one
+  :class:`~repro.datalog.join.RuleEvaluator`; every body atom after the
+  delta scan is one join step (:func:`~repro.datalog.join.extend`), the
+  same step that answers BGP queries.  Rules are skipped per round via a
+  predicate dispatch index.
+* :class:`SemiNaiveEngine` — the same fixpoint with a term graph in and
+  out (encode → :class:`ColumnarEngine` → decode).
 * :class:`NaiveEngine` — the textbook evaluator, kept as a test oracle and
   ablation baseline.
 * :class:`BackwardEngine` — SLD resolution with tabling plus the Jena-style
@@ -26,8 +28,7 @@ atoms are triple patterns.  This package implements that model directly:
 from repro.datalog.ast import Atom, Rule, Bindings
 from repro.datalog.parser import RuleParseError, parse_rules, parse_rule
 from repro.datalog.engine import SemiNaiveEngine, EngineStats, FixpointResult
-from repro.datalog.plan import DispatchIndex, PlanKind, RulePlan, build_plan
-from repro.datalog.compiled import JoinKernel, ScanKernel, compile_rule
+from repro.datalog.plan import PlanKind, RulePlan, build_plan
 from repro.datalog.columnar import ColumnarEngine
 from repro.datalog.naive import NaiveEngine
 from repro.datalog.backward import BackwardEngine, materialize_backward
@@ -52,14 +53,10 @@ __all__ = [
     "materialize_backward",
     "EngineStats",
     "FixpointResult",
-    "DispatchIndex",
     "PlanKind",
     "RulePlan",
     "build_plan",
-    "JoinKernel",
-    "ScanKernel",
     "ColumnarEngine",
-    "compile_rule",
     "JoinClass",
     "classify_rule",
     "is_single_join",

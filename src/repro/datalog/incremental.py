@@ -3,8 +3,9 @@
 A materialized closure must survive retractions without a full
 re-closure.  This module implements the classic DRed algorithm
 [Gupta, Mumick & Subrahmanian, *Maintaining Views Incrementally*] over
-the id stores: :func:`dred_id` drives the :mod:`repro.datalog.columnar`
-kernels over an :class:`~repro.rdf.idstore.IdGraph` or
+the id stores: :func:`dred_id` drives a
+:class:`~repro.datalog.columnar.ColumnarEngine`'s rule evaluators over
+an :class:`~repro.rdf.idstore.IdGraph` or
 :class:`~repro.rdf.runstore.RunStore`.  It is the one maintenance path:
 :meth:`repro.owl.kb.MaterializedKB.apply` calls it on the KB's own store
 with the KB's persistent asserted base, and the id-native
@@ -20,7 +21,7 @@ Phases
    with the retracted rows, and each round fire every rule with at
    least one body atom in the round's delta and the remaining atoms in
    the **unmutated** old closure.  This reuses ``eval_delta(G, Δ)``
-   verbatim: the kernels' two semi-naive halves together produce
+   verbatim: the evaluators' per-position halves together produce
    exactly the head instantiations with ≥ 1 body atom in Δ against G,
    which is the overdeletion step.  Heads not present in the closure
    (or already overdeleted) are dropped; the fixpoint yields the
@@ -54,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datalog.columnar import ColumnarEngine, Columns, IdStore
+from repro.datalog.columnar import ColumnarEngine
+from repro.datalog.join import Columns, IdStore
 from repro.datalog.engine import EngineStats
 from repro.rdf.idstore import IdGraph, concat_columns
 from repro.rdf.terms import Variable
@@ -103,9 +105,9 @@ def overdelete_id(
     the cascade a distributed node must rebroadcast to its peers.
     Serial :func:`dred_id` calls it once and ignores the return.
     """
-    kernels = engine.kernels
+    evaluators = engine.evaluators
     dispatch = engine.dispatch
-    n_rules = len(kernels)
+    n_rules = len(evaluators)
     current = IdGraph()
     if len(seed[0]):
         present = store.contains_rows(*seed)
@@ -122,7 +124,7 @@ def overdelete_id(
         stats.rules_skipped += n_rules - len(live)
         parts: list[Columns] = []
         for i in live:
-            hs, hp, ho = kernels[i].eval_delta(store, current, stats)
+            hs, hp, ho = evaluators[i].eval_delta(store, current, stats)
             stats.firings += len(hs)
             if len(hs):
                 parts.append((hs, hp, ho))
@@ -154,9 +156,9 @@ def rederive_id(
     seed = IdGraph()
     if not len(over):
         return seed
-    kernels = engine.kernels
+    evaluators = engine.evaluators
     dispatch = engine.dispatch
-    n_rules = len(kernels)
+    n_rules = len(evaluators)
     store.delete_rows(*over.columns())
     o_s, o_p, o_o = over.columns()
     in_base = asserted.contains_rows(o_s, o_p, o_o)
@@ -175,7 +177,7 @@ def rederive_id(
         stats.rules_skipped += n_rules - len(live)
         parts: list[Columns] = []
         for i in live:
-            hs, hp, ho = kernels[i].eval_delta(store, remnant, stats)
+            hs, hp, ho = evaluators[i].eval_delta(store, remnant, stats)
             stats.firings += len(hs)
             if len(hs):
                 parts.append((hs, hp, ho))
@@ -251,7 +253,7 @@ def _head_may_rederive_id(
     """Can rule ``rule_index`` produce any overdeleted row?  Ground head
     predicates must occur in ``O``; variable head predicates always
     might."""
-    p = engine.kernels[rule_index].rule.head.p
+    p = engine.evaluators[rule_index].rule.head.p
     if isinstance(p, Variable):
         return True
     return engine.dictionary.encode(p) in over_pids

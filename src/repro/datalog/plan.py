@@ -1,91 +1,55 @@
-"""Join-plan selection for the compiled rule kernels.
+"""Plan-time rule analysis for the rule evaluator.
 
-The OWL-Horst compiler emits almost exclusively 1-atom (zero-join) and
-2-atom (single-join) rules, so the semi-naive engine does not need a
-general join interpreter on its hot path.  This module analyzes each rule
-once, at engine construction, and produces a declarative :class:`RulePlan`
-that the kernels in :mod:`repro.datalog.compiled` turn into specialized
-executors:
+Each rule is analyzed once, at engine construction, into a declarative
+:class:`RulePlan` that :class:`~repro.datalog.join.RuleEvaluator` and the
+predicate dispatch of :class:`~repro.datalog.columnar.ColumnarEngine`
+read:
 
-* variable *slots* — every rule variable gets a small integer index so the
-  kernels can carry bindings as flat lists instead of ``{Variable: Term}``
-  dicts;
-* per-atom *specs* — each triple-pattern position is either a ground term
-  or a slot, which fixes the index shape (SPO/POS/OSP mask) to probe for
-  any subset of bound slots;
-* the *dispatch signature* — the set of ground body predicates, which the
-  engine's :class:`DispatchIndex` uses to skip rules that no delta triple
-  can possibly feed.
+* the *kind* — how the per-delta-position joins combine (see
+  :class:`PlanKind`);
+* the variable order — every rule variable in first-occurrence order, the
+  column order of the evaluator's binding matrix;
+* the *dispatch signature* — the set of ground body predicates, which
+  lets the engine skip rules that no delta row can possibly feed.
 
-Plans are pure analysis: they never touch a graph.  Anything that is not a
-1- or 2-atom single-join body is classified :data:`PlanKind.GENERIC` and
-executed by the existing interpreter (the correctness fallback).
+Plans are pure analysis: they never touch a store.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from repro.datalog.ast import Atom, Rule
+from repro.datalog.ast import Rule
 from repro.rdf.terms import Term, Variable
-
-#: One position of an atom spec: ``("g", term)`` for a ground term or
-#: ``("v", slot)`` for a variable slot.
-PosSpec = tuple[str, object]
-AtomSpec = tuple[PosSpec, PosSpec, PosSpec]
 
 
 class PlanKind(enum.Enum):
-    """Which executor a rule compiles to."""
+    """How a rule's semi-naive halves are combined."""
 
-    #: 1-atom body: a direct scan-and-rewrite kernel over the delta.
+    #: 1-atom body: one scan of the delta, nothing to combine.
     SCAN = "scan"
-    #: 2-atom body sharing at least one variable: the single-join kernel.
+    #: 2-atom body sharing at least one variable: the second half joins
+    #: against ``G ∖ Δ``, so the halves are disjoint.
     JOIN = "join"
-    #: Everything else (3+ atoms, or a 2-atom cross product): the generic
-    #: interpreter.
+    #: Everything else (3+ atoms, or a 2-atom cross product): the halves
+    #: are deduplicated by binding.
     GENERIC = "generic"
 
 
 @dataclass(frozen=True)
-class AtomPlan:
-    """One body (or head) atom, resolved to slots."""
-
-    spec: AtomSpec
-    #: Slots bound by matching this atom.
-    slots: frozenset[int]
-
-
-@dataclass(frozen=True)
 class RulePlan:
-    """Everything the kernels need to specialize one rule."""
+    """Everything the evaluator needs to specialize one rule."""
 
     rule: Rule
     kind: PlanKind
-    #: Total number of variable slots in the rule.
+    #: Total number of variables in the rule.
     nvars: int
-    #: ``var_order[slot]`` is the Variable assigned to that slot.
+    #: Every body variable, in first-occurrence order.
     var_order: tuple[Variable, ...]
-    atoms: tuple[AtomPlan, ...]
-    head: AtomPlan
     #: Ground predicates of the body atoms, or ``None`` if any body atom
     #: has a variable in predicate position (rule must always dispatch).
     body_predicates: frozenset[Term] | None
-
-
-def _atom_plan(atom: Atom, slot_of: dict[Variable, int]) -> AtomPlan:
-    spec: list[PosSpec] = []
-    slots: set[int] = set()
-    for term in (atom.s, atom.p, atom.o):
-        if isinstance(term, Variable):
-            slot = slot_of[term]
-            spec.append(("v", slot))
-            slots.add(slot)
-        else:
-            spec.append(("g", term))
-    return AtomPlan(spec=(spec[0], spec[1], spec[2]), slots=frozenset(slots))
 
 
 def build_plan(rule: Rule) -> RulePlan:
@@ -98,81 +62,33 @@ def build_plan(rule: Rule) -> RulePlan:
     >>> plan.kind, plan.nvars
     (<PlanKind.JOIN: 'join'>, 3)
     """
-    slot_of: dict[Variable, int] = {}
+    var_order: dict[Variable, None] = {}
     for atom in rule.body:
-        for term in (atom.s, atom.p, atom.o):
-            if isinstance(term, Variable) and term not in slot_of:
-                slot_of[term] = len(slot_of)
+        for term in atom:
+            if isinstance(term, Variable):
+                var_order.setdefault(term)
     # Head variables are body variables by the safety check in Rule.
 
-    atoms = tuple(_atom_plan(a, slot_of) for a in rule.body)
-    head = _atom_plan(rule.head, slot_of)
-
-    if len(atoms) == 1:
+    body = rule.body
+    if len(body) == 1:
         kind = PlanKind.SCAN
-    elif len(atoms) == 2 and (atoms[0].slots & atoms[1].slots):
+    elif len(body) == 2 and body[0].variables() & body[1].variables():
         kind = PlanKind.JOIN
     else:
         kind = PlanKind.GENERIC
 
     preds: set[Term] = set()
     wildcard = False
-    for atom in rule.body:
+    for atom in body:
         if isinstance(atom.p, Variable):
             wildcard = True
             break
         preds.add(atom.p)
 
-    var_order = tuple(sorted(slot_of, key=slot_of.__getitem__))
     return RulePlan(
         rule=rule,
         kind=kind,
-        nvars=len(slot_of),
-        var_order=var_order,
-        atoms=atoms,
-        head=head,
+        nvars=len(var_order),
+        var_order=tuple(var_order),
         body_predicates=None if wildcard else frozenset(preds),
     )
-
-
-class DispatchIndex:
-    """Predicate → rules dispatch for the semi-naive round loop.
-
-    A semi-naive derivation needs at least one body atom to match a delta
-    triple, and a body atom with ground predicate ``p`` can only match
-    delta triples whose predicate is ``p``.  So a rule whose ground body
-    predicates are all absent from the delta's predicate set cannot fire
-    this round and is skipped without touching any index.  Rules with a
-    variable-predicate body atom (the sameAs-propagation split) match any
-    triple and are always dispatched.
-
-    >>> from repro.datalog.parser import parse_rules
-    >>> rules = parse_rules('''@prefix ex: <ex:>
-    ... [a: (?x ex:p ?y) -> (?x ex:q ?y)]
-    ... [b: (?x ex:r ?y) -> (?x ex:s ?y)]''')
-    >>> from repro.rdf.terms import URI
-    >>> idx = DispatchIndex([build_plan(r) for r in rules])
-    >>> idx.candidates({URI("ex:p")})
-    [0]
-    """
-
-    def __init__(self, plans: Sequence[RulePlan]) -> None:
-        self.n_rules = len(plans)
-        self._by_predicate: dict[Term, set[int]] = {}
-        self._always: set[int] = set()
-        for i, plan in enumerate(plans):
-            if plan.body_predicates is None:
-                self._always.add(i)
-                continue
-            for p in plan.body_predicates:
-                self._by_predicate.setdefault(p, set()).add(i)
-
-    def candidates(self, delta_predicates: Iterable[Term]) -> list[int]:
-        """Indices of rules that the delta can feed, in rule order (rule
-        order is part of the engine's determinism contract)."""
-        live = set(self._always)
-        for p in delta_predicates:
-            hit = self._by_predicate.get(p)
-            if hit is not None:
-                live |= hit
-        return sorted(live)

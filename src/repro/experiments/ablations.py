@@ -104,18 +104,10 @@ def run(scale: Scale | str = "small", seed: int = 0) -> ExperimentResult:
     reasoner_serial = HorstReasoner(dataset.ontology)
     g1 = dataset.data.copy()
     semi = SemiNaiveEngine(reasoner_serial.rules).run(g1)
-    g1g = dataset.data.copy()
-    semi_generic = SemiNaiveEngine(
-        reasoner_serial.rules, compile_rules=False
-    ).run(g1g)
     g2 = dataset.data.copy()
     naive = NaiveEngine(reasoner_serial.rules).run(g2)
     result.rows.append(
-        ["engine", "semi-naive (compiled)", "join_probes", semi.stats.join_probes]
-    )
-    result.rows.append(
-        ["engine", "semi-naive (generic)", "join_probes",
-         semi_generic.stats.join_probes]
+        ["engine", "semi-naive", "join_probes", semi.stats.join_probes]
     )
     result.rows.append(
         ["engine", "naive", "join_probes", naive.stats.join_probes]

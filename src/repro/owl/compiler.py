@@ -55,20 +55,14 @@ class CompiledRuleSet:
 
     def engine(
         self,
-        compile_rules: bool = True,
-        engine: str | None = None,
         store: str | None = None,
         memory_budget_bytes: int | None = None,
     ) -> SemiNaiveEngine:
-        """A fresh fixpoint engine over the compiled rules.
-        ``compile_rules=False`` selects the generic-interpreter ablation;
-        ``engine`` picks the execution layer directly ("generic" /
-        "compiled" / "columnar"); ``store`` / ``memory_budget_bytes``
-        pick the columnar mirror storage ("dense" / "run") and its
-        resident-byte cap."""
+        """A fresh fixpoint engine over the compiled rules; ``store`` /
+        ``memory_budget_bytes`` pick its id store ("dense" / "run") and
+        the resident-byte cap."""
         return SemiNaiveEngine(
-            self.rules, compile_rules=compile_rules, engine=engine,
-            store=store, memory_budget_bytes=memory_budget_bytes,
+            self.rules, store=store, memory_budget_bytes=memory_budget_bytes,
         )
 
     def check_single_join(self) -> None:

@@ -51,7 +51,8 @@ from typing import Iterable, Iterator, Literal
 import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
-from repro.datalog.columnar import ColumnarEngine, Columns, IdStore
+from repro.datalog.columnar import ColumnarEngine
+from repro.datalog.join import Columns, IdStore
 from repro.datalog.engine import EngineStats
 from repro.datalog.incremental import dred_id
 from repro.owl.compiler import CompiledRuleSet, compile_ontology
@@ -105,9 +106,7 @@ class MaterializedKB:
     the store into the runtime invariant checks (``None`` defers to
     ``REPRO_SANITIZE``; see :mod:`repro.analysis.sanitize`).  The KB
     always reasons on the columnar id engine — ``engine`` is accepted
-    only as ``None`` / ``"columnar"``; the term-level engines live on in
-    :class:`~repro.datalog.engine.SemiNaiveEngine` and
-    :class:`~repro.owl.reasoner.HorstReasoner`.
+    only as ``None`` / ``"columnar"``.
 
     >>> from repro.rdf import Graph, URI
     >>> from repro.owl.vocabulary import OWL, RDF
@@ -137,7 +136,7 @@ class MaterializedKB:
         if engine not in (None, "columnar"):
             raise ValueError(
                 f"MaterializedKB reasons on the columnar id engine only, got "
-                f"engine={engine!r}; the term-level engines live in "
+                f"engine={engine!r}; for a term graph in and out use "
                 "SemiNaiveEngine / HorstReasoner")
         self.compiled: CompiledRuleSet = compile_ontology(
             ontology, include_sameas_propagation=include_sameas_propagation

@@ -85,8 +85,6 @@ class HorstReasoner:
         ontology: Graph,
         include_sameas_propagation: bool | str = "auto",
         split_sameas: bool = True,
-        compile_rules: bool = True,
-        engine: str | None = None,
         store: str | None = None,
         memory_budget_bytes: int | None = None,
     ) -> None:
@@ -95,15 +93,9 @@ class HorstReasoner:
             include_sameas_propagation=include_sameas_propagation,
             split_sameas=split_sameas,
         )
-        #: Forward strategy executes via compiled kernels by default;
-        #: ``False`` pins the generic interpreter (ablation baseline).
-        self.compile_rules = compile_rules
-        #: Execution layer for the forward strategy: "generic" /
-        #: "compiled" / "columnar"; ``None`` derives it from
-        #: ``compile_rules`` (the legacy spelling).
-        self.engine = engine
-        #: Columnar mirror storage ("dense" / "run") and its resident-byte
-        #: cap — forwarded to every engine this reasoner builds.
+        #: Id store of the forward strategy ("dense" / "run") and its
+        #: resident-byte cap — forwarded to every engine this reasoner
+        #: builds.
         self.store = store
         self.memory_budget_bytes = memory_budget_bytes
 
@@ -133,7 +125,6 @@ class HorstReasoner:
         if strategy == "forward":
             working = data.copy()
             fp: FixpointResult = self.compiled.engine(
-                compile_rules=self.compile_rules, engine=self.engine,
                 store=self.store,
                 memory_budget_bytes=self.memory_budget_bytes,
             ).run(working)

@@ -191,8 +191,8 @@ class ParallelReasoner:
             raise ValueError(
                 f"partition workers run the columnar engine over the id "
                 f"wire only (PR 21 removed the term-mode worker), got "
-                f"engine={engine!r}, encode_wire={encode_wire!r}; the "
-                "term-level engines live in SemiNaiveEngine / HorstReasoner")
+                f"engine={engine!r}, encode_wire={encode_wire!r}; for a "
+                "term graph in and out use SemiNaiveEngine / HorstReasoner")
         self.k = k
         self.approach: Approach = approach
         # Data partitioning demands single-join rules; the compiler's sameAs

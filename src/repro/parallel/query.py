@@ -19,11 +19,15 @@ cross-partition join shipping is needed — the price is that the
 coordinator joins (small) pattern relations rather than pushing joins
 down, the standard federated-BGP baseline.
 
-Two scatter implementations share that shape:
+Two scatter implementations share that shape, and one gather: the
+coordinator joins the gathered relations with
+:func:`~repro.rdf.idquery.join_pattern`, in
+:func:`~repro.datalog.join.order_patterns` order.
 
-* **term-level** (``DistributedQueryEngine(partitions)``) — partitions are
-  plain :class:`Graph` objects; local matching is the per-triple index
-  walk and results travel as term triples;
+* **partition graphs** (``DistributedQueryEngine(partitions)``) —
+  partitions are plain :class:`Graph` objects; local matching is the
+  per-triple index walk, and the coordinator encodes the gathered triples
+  into one id space;
 * **id-native fast path** (``DistributedQueryEngine.from_workers``) —
   partitions are resident :class:`PartitionWorker` stores.
   Patterns run in join order with *semi-join pruning*: the coordinator
@@ -31,8 +35,7 @@ Two scatter implementations share that shape:
   returns rows that can still join.  Results come back as
   :class:`~repro.parallel.messages.EncodedBatch` int64 payloads (24 B per
   row plus ship-once delta-dictionary entries), reconciled into one
-  coordinator id space by :class:`GatherDictionary` and joined with the
-  vectorized :func:`~repro.rdf.idquery.join_pattern` kernel.
+  coordinator id space by :class:`GatherDictionary`.
 
 Accounting mirrors the reasoning runtime: per-partition probe counts and
 shipped-solution counts feed the same :class:`CostModel` machinery; on
@@ -43,18 +46,20 @@ the id wire path the *measured* encoded payload bytes replace the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
+from repro.datalog.join import order_patterns
 from repro.parallel.costmodel import CostModel
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import TermDictionary, encode_rows
 from repro.rdf.graph import Graph
 from repro.rdf.idquery import join_pattern
 from repro.rdf.idstore import IdGraph
 from repro.rdf.query import BGPQuery
 from repro.rdf.terms import Term, Variable
+from repro.rdf.triple import Triple
 
 if TYPE_CHECKING:
     from repro.parallel.worker import PartitionWorker
@@ -228,23 +233,26 @@ class DistributedQueryEngine:
 
     # -- scatter ---------------------------------------------------------------
 
-    def _scatter(self, pattern: Atom, stats: DistributedQueryStats) -> Graph:
-        """Union of local matches for one pattern (deduplicated — a triple
-        replicated on two partitions must count once)."""
-        union = Graph()
+    def _scatter(
+        self,
+        pattern: Atom,
+        dictionary: TermDictionary,
+        stats: DistributedQueryStats,
+    ) -> IdGraph:
+        """Union of local matches for one pattern, id-encoded through the
+        coordinator's ``dictionary`` (deduplicated — a triple replicated
+        on two partitions must count once)."""
+        s, p, o = (None if isinstance(t, Variable) else t for t in pattern)
+        rows: list[Triple] = []
         shipped = 0
         for i, partition in enumerate(self.partitions):
-            s = None if isinstance(pattern.s, Variable) else pattern.s
-            p = None if isinstance(pattern.p, Variable) else pattern.p
-            o = None if isinstance(pattern.o, Variable) else pattern.o
-            local = 0
-            for triple in partition.match(s, p, o):
-                local += 1
-                if pattern.match_triple(triple) is not None:
-                    union.add(triple)
-            stats.probes_per_partition[i] += local
-            shipped += local
+            local = list(partition.match(s, p, o))
+            rows += local
+            stats.probes_per_partition[i] += len(local)
+            shipped += len(local)
         stats.shipped_per_pattern.append(shipped)
+        union = IdGraph()
+        union.add_rows(*encode_rows(dictionary, rows))
         return union
 
     # -- public API ---------------------------------------------------------------
@@ -286,7 +294,7 @@ class DistributedQueryEngine:
                 env[var] = np.asarray([tid], dtype=np.int64)
 
         base_size = gather.base_size
-        for pattern in query._order(set(bindings) if bindings else set()):
+        for pattern in order_patterns(query.patterns, env):
             if n_env == 0:
                 # Semi-join pruning at its strongest: an earlier pattern
                 # emptied the solution table, so nothing is scattered.
@@ -326,12 +334,7 @@ class DistributedQueryEngine:
             env, n_env, _probes = join_pattern(
                 union, pattern, env, n_env, gather.get)
         stats.solutions = n_env
-        decoded = {var: gather.decode_many(col) for var, col in env.items()}
-        solutions: list[Bindings] = [
-            {var: terms[i] for var, terms in decoded.items()}
-            for i in range(n_env)
-        ]
-        return solutions, stats
+        return _decode(env, n_env, gather.decode_many), stats
 
     def execute(
         self, query: BGPQuery, bindings: Bindings | None = None
@@ -344,29 +347,21 @@ class DistributedQueryEngine:
             probes_per_partition=[0] * len(self.partitions),
         )
         # Scatter every pattern, then join the complete relations at the
-        # coordinator using the same bound-first BGP machinery — each
-        # pattern now against its own gathered graph.
+        # coordinator with the one join step — each pattern against its
+        # own gathered relation.
+        dictionary = TermDictionary()
         gathered = {
-            pattern: self._scatter(pattern, stats)
+            pattern: self._scatter(pattern, dictionary, stats)
             for pattern in query.patterns
         }
-
-        order = query._order(set(bindings.keys()) if bindings else set())
-        solutions: list[Bindings] = []
-
-        def solve(index: int, current: Bindings) -> None:
-            if index == len(order):
-                solutions.append(current)
-                return
-            pattern = order[index]
-            from repro.datalog.engine import match_atom
-
-            for extended in match_atom(gathered[pattern], pattern, current):
-                solve(index + 1, extended)
-
-        solve(0, dict(bindings) if bindings else {})
-        stats.solutions = len(solutions)
-        return solutions, stats
+        env = {var: np.asarray([dictionary.encode(term)], dtype=np.int64)
+               for var, term in (bindings or {}).items()}
+        n_env = 1
+        for pattern in order_patterns(query.patterns, env):
+            env, n_env, _probes = join_pattern(
+                gathered[pattern], pattern, env, n_env, dictionary.get)
+        stats.solutions = n_env
+        return _decode(env, n_env, dictionary.decode_many), stats
 
     def select(
         self, query: BGPQuery, *variables: Variable
@@ -379,3 +374,14 @@ class DistributedQueryEngine:
     def ask(self, query: BGPQuery) -> bool:
         rows, _ = self.execute(query)
         return bool(rows)
+
+
+def _decode(
+    env: dict[Variable, np.ndarray],
+    n: int,
+    decode_many: Callable[[np.ndarray], list[Term]],
+) -> list[Bindings]:
+    """The ``n`` solutions of an id environment, as term bindings."""
+    decoded = {var: decode_many(col) for var, col in env.items()}
+    return [{var: terms[i] for var, terms in decoded.items()}
+            for i in range(n)]

@@ -43,6 +43,7 @@ from repro.datalog.ast import Atom, Rule
 from repro.datalog.backward import materialize_backward
 from repro.datalog.columnar import ColumnarEngine, Columns
 from repro.datalog.engine import EngineStats
+from repro.datalog.join import compile_atom, extend
 from repro.parallel.faults import maybe_crash
 from repro.parallel.messages import EncodedBatch, Message, RemovalBatch
 from repro.parallel.routing import Router
@@ -368,63 +369,44 @@ class PartitionWorker:
                 probes,
             )
 
-        # Constant positions: a term this partition's dictionary has
-        # never seen cannot occur in its store.
-        const_items: list[tuple[int, int]] = []
-        var_first: dict[Variable, int] = {}
-        dup_checks: list[tuple[int, int]] = []
-        for pos, term in enumerate(pattern):
-            if isinstance(term, Variable):
-                if term in var_first:
-                    dup_checks.append((pos, var_first[term]))
-                else:
-                    var_first[term] = pos
-            else:
-                tid = d.get(term)
-                if tid is None:
-                    return batch_of(empty, empty, empty, 0)
-                const_items.append((pos, tid))
-
         # Semi-join sets, translated to local ids.  Sets stay sorted
         # (np.unique) for the membership filter below.
         sets: dict[int, np.ndarray] = {}
         for pos, ids in (bound_ids or {}).items():
             sets[pos] = np.unique(
                 d.canonical_ids(np.asarray(ids, dtype=np.int64)))
-
+        # The smallest set is the anchor: a one-column environment the
+        # join step pushes into the index probe.
+        env: dict[Variable, np.ndarray] = {}
+        n_env = 1
+        terms = tuple(pattern)
         if sets:
             anchor_pos = min(sets, key=lambda pos: len(sets[pos]))
-            anchor = sets.pop(anchor_pos)
-            if len(anchor) == 0:
-                return batch_of(empty, empty, empty, 0)
-            items = [(anchor_pos, anchor)] + [
-                (pos, np.full(len(anchor), tid, dtype=np.int64))
-                for pos, tid in const_items
-            ]
-        elif const_items:
-            items = [(pos, np.asarray([tid], dtype=np.int64))
-                     for pos, tid in const_items]
-        else:
-            items = []
-
-        if items:
-            items.sort(key=lambda item: item[0])
-            vals, reps = idg.probe(
-                tuple(pos for pos, _col in items),
-                tuple(col for _pos, col in items),
-            )
-            probes = len(reps)
-        else:
-            vals = idg.columns()
-            probes = len(vals[0])
-        if len(vals[0]) and (sets or dup_checks):
-            mask = np.ones(len(vals[0]), dtype=bool)
+            anchor_var = terms[anchor_pos]
+            if not isinstance(anchor_var, Variable):
+                raise ValueError(
+                    f"semi-join set at constant position {anchor_pos} "
+                    f"of {pattern!r}")
+            env[anchor_var] = sets.pop(anchor_pos)
+            n_env = len(env[anchor_var])
+        # A constant this partition's dictionary has never seen cannot
+        # occur in its store.
+        compiled = compile_atom(pattern, env, d.get)
+        if compiled is None or n_env == 0:
+            return batch_of(empty, empty, empty, 0)
+        env, n, probes = extend(idg, compiled, env, n_env)
+        const = dict(compiled.consts)
+        cols = [
+            env[t] if isinstance(t, Variable)
+            else np.full(n, const[pos], dtype=np.int64)
+            for pos, t in enumerate(terms)
+        ]
+        if n and sets:
+            mask = np.ones(n, dtype=bool)
             for pos, members in sets.items():
-                mask &= member_mask(members, vals[pos])
-            for pos, first in dup_checks:
-                mask &= vals[pos] == vals[first]
-            vals = (vals[0][mask], vals[1][mask], vals[2][mask])
-        return batch_of(vals[0], vals[1], vals[2], probes)
+                mask &= member_mask(members, cols[pos])
+            cols = [col[mask] for col in cols]
+        return batch_of(cols[0], cols[1], cols[2], probes)
 
     @property
     def store_version(self) -> int:

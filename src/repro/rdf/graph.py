@@ -61,8 +61,8 @@ class Graph:
     @property
     def version(self) -> int:
         """Mutation counter: bumped on every successful add/discard (and on
-        clear).  Lets mirror structures (the columnar engine's id-encoded
-        shadow copy) detect external modification in O(1) instead of
+        clear).  Lets mirror structures (:class:`~repro.rdf.idquery.IdIndex`'s
+        id-encoded copy) detect external modification in O(1) instead of
         re-scanning the store."""
         return self._version
 
@@ -105,8 +105,8 @@ class Graph:
 
         All three SPO/POS/OSP indexes observe the removal and the
         version counter bumps, so mirror structures keyed on
-        :attr:`version` (the columnar engine's id-encoded shadow) can
-        never resume from a stale copy after a deletion.
+        :attr:`version` (:class:`~repro.rdf.idquery.IdIndex`'s mirror) can
+        never answer from a stale copy after a deletion.
         """
         if not isinstance(triple, Triple):
             raise TypeError(f"expected Triple, got {type(triple).__name__}")
@@ -269,12 +269,8 @@ class Graph:
     def predicates(self) -> Iterator[Term]:
         yield from self._pos.keys()
 
-    # -- raw-index fast paths (used by the compiled rule kernels) ---------
-    #
-    # These return the store's internal sets/dicts (or ``None``) without
-    # materializing :class:`Triple` objects — the per-probe allocation cost
-    # the compiled datalog kernels exist to avoid.  Callers must treat the
-    # returned containers as read-only snapshots of the index.
+    # -- raw-term fast paths (no :class:`Triple` per row: the encode side
+    # of the term/id boundary iterates these) ------------------------------
 
     def spo_items(self) -> Iterator[tuple[Term, Term, Term]]:
         """Iterate all triples as raw ``(s, p, o)`` tuples (no Triple
@@ -291,36 +287,6 @@ class Graph:
             return False
         objs = po.get(p)
         return objs is not None and o in objs
-
-    def objects_set(self, s: Term, p: Term) -> set[Term] | None:
-        """The object set of ``(s, p, ·)`` straight from the SPO index, or
-        ``None`` when empty.  O(1)."""
-        po = self._spo.get(s)
-        return None if po is None else po.get(p)
-
-    def subjects_set(self, p: Term, o: Term) -> set[Term] | None:
-        """The subject set of ``(·, p, o)`` straight from the POS index, or
-        ``None`` when empty.  O(1)."""
-        os_ = self._pos.get(p)
-        return None if os_ is None else os_.get(o)
-
-    def predicates_set(self, s: Term, o: Term) -> set[Term] | None:
-        """The predicate set of ``(s, ·, o)`` straight from the OSP index,
-        or ``None`` when empty.  O(1)."""
-        sp = self._osp.get(o)
-        return None if sp is None else sp.get(s)
-
-    def po_map(self, s: Term) -> dict[Term, set[Term]] | None:
-        """The ``{p: {o}}`` sub-index for a subject, or ``None``."""
-        return self._spo.get(s)
-
-    def os_map(self, p: Term) -> dict[Term, set[Term]] | None:
-        """The ``{o: {s}}`` sub-index for a predicate, or ``None``."""
-        return self._pos.get(p)
-
-    def sp_map(self, o: Term) -> dict[Term, set[Term]] | None:
-        """The ``{s: {p}}`` sub-index for an object, or ``None``."""
-        return self._osp.get(o)
 
     def value(self, s: Term, p: Term, default: Term | None = None) -> Term | None:
         """The unique object of (s, p, ·), or ``default`` if absent.

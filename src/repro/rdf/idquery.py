@@ -3,7 +3,7 @@
 :class:`~repro.rdf.query.BGPQuery` answers a basic graph pattern with a
 term-level index-nested-loop join: one Python dict allocation and one
 ``match_triple`` call per candidate row.  This module evaluates the same
-queries as *column operations* over the :data:`~repro.datalog.columnar.IdStore`
+queries as *column operations* over the :data:`~repro.datalog.join.IdStore`
 probe surface (:class:`~repro.rdf.idstore.IdGraph` and
 :class:`~repro.rdf.runstore.RunStore` alike) — the read-path counterpart
 of the PR-5 columnar fixpoint engine, and the machinery the distributed
@@ -17,11 +17,12 @@ query fast path (:mod:`repro.parallel.query`) and the serving tier
 * fresh variables are bound by fancy-indexing the matched rows' value
   columns — the "hash join" side is ``reps``, the match-to-solution
   fan-out array, applied to every existing column at once;
-* join order is greedy most-bound-first, with per-pattern cardinality
-  estimates from the index (``store.count_matching``) as the tiebreak —
-  ``ordering="bound"`` reproduces :meth:`BGPQuery._order` exactly, which
-  makes probe counts comparable 1:1 with the term engine (the
-  differential tests rely on this).
+* join order is :func:`~repro.datalog.join.order_patterns` (greedy
+  most-bound-first), with per-pattern cardinality estimates from the
+  index (``store.count_matching``) as the tiebreak — ``ordering="bound"``
+  drops the estimate and is the order :class:`BGPQuery` uses, which makes
+  probe counts comparable 1:1 with the term oracle (the differential
+  tests rely on this).
 
 Work accounting matches the term engine's definition: ``index_probes``
 counts every candidate row surfaced by an index probe *before*
@@ -47,7 +48,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
-from repro.datalog.columnar import IdStore
+from repro.datalog.join import IdStore, compile_atom, extend, order_patterns
 from repro.rdf.dictionary import TermDictionary, encode_rows
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, pack_columns
@@ -98,50 +99,13 @@ def join_pattern(
     of candidate rows the index surfaced *before* repeated-variable
     filtering, the term-engine-compatible work unit.
 
-    This is the shared kernel of :meth:`IdBGPQuery.execute_ids` and the
-    coordinator-side join of the distributed query fast path
-    (:mod:`repro.parallel.query`), which runs it against per-pattern
-    gathered stores.
+    The atom is compiled against ``env`` and handed to the one join step,
+    :func:`repro.datalog.join.extend`.
     """
-    items: list[tuple[int, np.ndarray]] = []
-    fresh: dict[Variable, int] = {}
-    dup_checks: list[tuple[int, int]] = []
-    for pos, term in enumerate(atom):
-        if isinstance(term, Variable):
-            if term in env:
-                items.append((pos, env[term]))
-            elif term in fresh:
-                dup_checks.append((pos, fresh[term]))
-            else:
-                fresh[term] = pos
-        else:
-            tid = lookup(term)
-            if tid is None:
-                return {v: _EMPTY for v in env}, 0, 0
-            items.append((pos, np.full(n_env, tid, dtype=np.int64)))
-    if items:
-        items.sort(key=lambda item: item[0])
-        vals, reps = store.probe(
-            tuple(pos for pos, _col in items),
-            tuple(col for _pos, col in items),
-        )
-    else:
-        # Fully unconstrained pattern: the cartesian product of the
-        # current solutions with every store row.
-        s, p, o = store.columns()
-        reps = np.repeat(np.arange(n_env, dtype=np.int64), len(s))
-        vals = (np.tile(s, n_env), np.tile(p, n_env), np.tile(o, n_env))
-    probes = len(reps)
-    if dup_checks and len(reps):
-        mask = np.ones(len(reps), dtype=bool)
-        for pos, first in dup_checks:
-            mask &= vals[pos] == vals[first]
-        reps = reps[mask]
-        vals = (vals[0][mask], vals[1][mask], vals[2][mask])
-    out = {v: col[reps] for v, col in env.items()}
-    for var, pos in fresh.items():
-        out[var] = vals[pos]
-    return out, len(reps), probes
+    compiled = compile_atom(atom, env, lookup)
+    if compiled is None:
+        return {v: _EMPTY for v in env}, 0, 0
+    return extend(store, compiled, env, n_env)
 
 
 class IdBGPQuery:
@@ -193,7 +157,10 @@ class IdBGPQuery:
 
     def _estimates(self, store: IdStore) -> dict[Atom, int]:
         """Constant-selectivity estimate per pattern: how many store rows
-        match the pattern's ground positions (ignoring variables)."""
+        match the pattern's ground positions (ignoring variables).  Under
+        ``"estimate"`` ordering it breaks boundness ties toward selective
+        patterns (a ground-position probe expected to match few rows runs
+        before an open scan of the same boundness)."""
         total = len(store)
         out: dict[Atom, int] = {}
         for pat in self.patterns:
@@ -217,33 +184,6 @@ class IdBGPQuery:
                     np.asarray([tid], dtype=np.int64) for _pos, tid in items)
                 out[pat] = int(store.count_matching(positions, cols)[0])
         return out
-
-    def _order(self, store: IdStore, bound: set[Variable]) -> list[Atom]:
-        """Greedy most-bound-first join order; under ``"estimate"`` the
-        index cardinality estimate breaks ties toward selective patterns
-        (a ground-position probe expected to match few rows runs before
-        an open scan of the same boundness)."""
-        estimates = (
-            self._estimates(store) if self.ordering == "estimate" else {})
-        remaining = list(self.patterns)
-        ordered: list[Atom] = []
-        bound = set(bound)
-        while remaining:
-            def boundness(atom: Atom) -> tuple[int, ...]:
-                ground = sum(
-                    1
-                    for t in atom
-                    if not isinstance(t, Variable) or t in bound
-                )
-                if self.ordering == "estimate":
-                    return (ground, -estimates[atom], -len(atom.variables()))
-                return (ground, -len(atom.variables()))
-
-            best = max(remaining, key=boundness)
-            remaining.remove(best)
-            ordered.append(best)
-            bound |= best.variables()
-        return ordered
 
     # -- evaluation -------------------------------------------------------
 
@@ -273,8 +213,10 @@ class IdBGPQuery:
         count (candidate rows surfaced, pre-filtering).
         """
         env, n_env = self._seed(bindings)
+        estimate = (None if self.ordering == "bound"
+                    else self._estimates(store).__getitem__)
         probes = 0
-        for atom in self._order(store, set(env)):
+        for atom in order_patterns(self.patterns, env, estimate):
             if n_env == 0:
                 break
             env, n_env, step_probes = join_pattern(

@@ -228,14 +228,16 @@ class _Scanner:
         return Literal(lexical)
 
 
+_HEX = re.compile("[0-9A-Fa-f]+")
+
+
 def _read_hex(text: str, start: int, width: int) -> str:
     hexpart = text[start : start + width]
     if len(hexpart) != width:
         raise NTriplesParseError(f"truncated \\u escape: {hexpart!r}")
-    try:
-        code = int(hexpart, 16)
-    except ValueError:
-        code = -1
+    # Hex digits only: ``int(x, 16)`` alone also takes a sign, a ``0x``
+    # prefix, underscores and surrounding whitespace.
+    code = int(hexpart, 16) if _HEX.fullmatch(hexpart) else -1
     # A surrogate is not a character: it could not be written back as UTF-8.
     if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
         raise NTriplesParseError(f"bad \\u escape: {hexpart!r}")

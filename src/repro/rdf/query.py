@@ -8,10 +8,13 @@ side: conjunctive triple patterns (the SPARQL BGP core) evaluated against
 any :class:`~repro.rdf.graph.Graph` — typically the output of
 :class:`~repro.owl.kb.MaterializedKB`.
 
-Evaluation is the textbook index-nested-loop join with greedy
-most-bound-first pattern ordering (the same heuristic the backward engine
-uses for rule bodies), which is optimal enough for the star- and
-chain-shaped queries of LUBM-style workloads.
+:class:`BGPQuery` is the query *value* every query surface accepts, and
+its own evaluation is the term-level oracle: the textbook
+index-nested-loop join over the graph's indexes, in the greedy
+most-bound-first order of :func:`~repro.datalog.join.order_patterns`.
+Production queries (the KB, the server, SPARQL) run in id space through
+:class:`~repro.rdf.idquery.IdIndex`; with ``ordering="bound"`` it uses
+this same order, so probe counts agree 1:1 with the oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Iterator, Sequence
 
 from repro.datalog.ast import Atom, Bindings
 from repro.datalog.engine import match_atom
+from repro.datalog.join import order_patterns
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Variable
 
@@ -67,27 +71,6 @@ class BGPQuery:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _order(self, bound: set[Variable]) -> list[Atom]:
-        """Greedy most-bound-first join order (see module docstring)."""
-        remaining = list(self.patterns)
-        ordered: list[Atom] = []
-        bound = set(bound)
-        while remaining:
-            def boundness(atom: Atom) -> tuple[int, int]:
-                ground = sum(
-                    1
-                    for t in atom
-                    if not isinstance(t, Variable) or t in bound
-                )
-                # Tiebreak: fewer total variables first.
-                return (ground, -len(atom.variables()))
-
-            best = max(remaining, key=boundness)
-            remaining.remove(best)
-            ordered.append(best)
-            bound |= best.variables()
-        return ordered
-
     def execute(
         self,
         graph: Graph,
@@ -95,7 +78,7 @@ class BGPQuery:
     ) -> Iterator[Bindings]:
         """Yield every solution mapping (variable -> ground term)."""
         initial: Bindings = dict(bindings) if bindings else {}
-        order = self._order(set(initial.keys()))
+        order = order_patterns(self.patterns, initial)
 
         def solve(index: int, current: Bindings) -> Iterator[Bindings]:
             if index == len(order):
@@ -114,7 +97,7 @@ class BGPQuery:
 
         stats = EngineStats()
         initial: Bindings = dict(bindings) if bindings else {}
-        order = self._order(set(initial.keys()))
+        order = order_patterns(self.patterns, initial)
         solutions: list[Bindings] = []
 
         def solve(index: int, current: Bindings) -> None:

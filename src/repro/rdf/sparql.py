@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datalog.ast import Atom
+from repro.datalog.ast import Atom, Bindings
 from repro.rdf.graph import Graph
+from repro.rdf.idquery import IdIndex
 from repro.rdf.namespace import XSD
 from repro.rdf.query import BGPQuery
 from repro.rdf.terms import Literal, Term, URI, Variable
@@ -60,7 +61,8 @@ _UNSUPPORTED = {
 
 @dataclass(frozen=True)
 class ParsedQuery:
-    """A parsed SELECT/ASK query, executable against any graph."""
+    """A parsed SELECT/ASK query, executable against any graph (in id
+    space, through :class:`~repro.rdf.idquery.IdIndex`)."""
 
     form: str  # "select" | "ask"
     projection: tuple[Variable, ...]  # empty tuple = SELECT *
@@ -73,17 +75,21 @@ class ParsedQuery:
     #: sort, so a limited query is reproducible.
     limit: int | None = None
 
-    def execute(self, graph: Graph):
-        return self.bgp.execute(graph)
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The projected variables (``SELECT *``: all, sorted by name)."""
+        return self.projection or tuple(
+            sorted(self.bgp.variables(), key=lambda v: v.name))
+
+    def execute(self, graph: Graph) -> list[Bindings]:
+        return IdIndex(graph, ordering="bound").execute(self.bgp)
 
     def ask(self, graph: Graph) -> bool:
-        return self.bgp.ask(graph)
+        return IdIndex(graph, ordering="bound").ask(self.bgp)
 
     def select(self, graph: Graph) -> list[tuple[Term, ...]]:
-        variables = self.projection or tuple(
-            sorted(self.bgp.variables(), key=lambda v: v.name)
-        )
-        rows = self.bgp.select(graph, *variables)
+        rows = IdIndex(graph, ordering="bound").select(
+            self.bgp, *self.variables)
         if self.limit is not None:
             rows = rows[: self.limit]
         return rows

@@ -54,8 +54,8 @@ def make_store(
     seed: int = 0,
 ) -> IdGraph | RunStore:
     """The one id-store factory behind
-    :class:`~repro.owl.kb.MaterializedKB`, the ``SemiNaiveEngine`` mirror
-    and :class:`~repro.parallel.worker.PartitionWorker`.
+    :class:`~repro.owl.kb.MaterializedKB`, the store ``SemiNaiveEngine``
+    encodes into, and :class:`~repro.parallel.worker.PartitionWorker`.
 
     ``store``/``memory_budget_bytes`` resolve through :func:`store_kind`;
     ``sanitize`` through :func:`sanitize_enabled` (``None`` defers to

@@ -17,6 +17,7 @@ the common case and roughly halves the memory of large parsed graphs.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 # Intern tables.  Keyed by the constructor arguments; values are the
@@ -86,6 +87,14 @@ class Term:
         return self._kind == _KIND_LITERAL
 
 
+#: Characters an N-Triples IRIREF may not hold raw.
+_IRI_UNSAFE = re.compile(r'[\x00-\x20<>"{}|^`\\\x85\u2028\u2029]')
+
+
+def _uchar(match: "re.Match[str]") -> str:
+    return f"\\u{ord(match.group()):04X}"
+
+
 class URI(Term):
     """An IRI reference term.
 
@@ -118,8 +127,15 @@ class URI(Term):
         return self.value
 
     def n3(self) -> str:
-        """N-Triples form: ``<iri>``."""
-        return f"<{self.value}>"
+        """N-Triples form: ``<iri>``, with every character the IRIREF
+        grammar forbids raw (controls, space, ``<>"{}|^`\\``) and the
+        line separators ``str.splitlines`` breaks on written as
+        ``\\uXXXX``, so the line reads back.
+
+        >>> print(URI("ex:a b").n3())
+        <ex:a\\u0020b>
+        """
+        return f"<{_IRI_UNSAFE.sub(_uchar, self.value)}>"
 
     def local_name(self) -> str:
         """The fragment after the last ``#`` or ``/`` — a display helper.

@@ -42,6 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.datalog.ast import Atom, Bindings
+from repro.datalog.join import order_patterns
 from repro.owl.kb import ApplyResult, MaterializedKB
 from repro.parallel.query import GatherDictionary
 from repro.parallel.worker import PartitionWorker
@@ -379,7 +380,7 @@ class KBServer:
         assert gather is not None
         env: dict[Variable, np.ndarray] = {}
         n_env = 1
-        for pattern in BGPQuery(list(patterns))._order(set()):
+        for pattern in order_patterns(patterns):
             if n_env == 0:
                 break
             union = IdGraph()

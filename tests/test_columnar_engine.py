@@ -1,7 +1,8 @@
 """Id-native columnar closure: store, bulk dictionary APIs, and the
-differential property tests proving the columnar path computes the same
-fixpoint — with the same work accounting — as the term-level engines,
-serially and through the id-native parallel workers.
+differential property tests proving the columnar fixpoint — driven
+directly, through the term-graph adapter (``SemiNaiveEngine``), and
+through the id-native parallel workers — computes the naive oracle's
+fixpoint with the same work accounting.
 """
 
 from __future__ import annotations
@@ -200,44 +201,52 @@ class TestColumnarEngine:
         assert len(out) == 15
 
     def test_engine_kind_selection(self):
-        assert SemiNaiveEngine(TRANS, engine="columnar").engine_kind == "columnar"
-        with pytest.raises(ValueError):
-            SemiNaiveEngine(TRANS, engine="quantum")
+        # There is one engine: the execution-layer keywords are gone.
+        with pytest.raises(TypeError):
+            SemiNaiveEngine(TRANS, engine="columnar")
+        with pytest.raises(TypeError):
+            SemiNaiveEngine(TRANS, compile_rules=False)
 
     def test_stats_match_compiled_field_by_field(self):
-        g1, g2 = chain(8), chain(8)
-        compiled = SemiNaiveEngine(TRANS).run(g1)
-        columnar = SemiNaiveEngine(TRANS, engine="columnar").run(g2)
-        assert g1 == g2
-        for f in ("iterations", "firings", "derived", "join_probes",
-                  "rules_dispatched", "rules_skipped"):
-            assert getattr(columnar.stats, f) == getattr(compiled.stats, f), f
+        # The term-graph adapter reports the columnar engine's stats, and
+        # both equal the numbers the deleted compiled kernels reported.
+        g = chain(8)
+        adapter = SemiNaiveEngine(TRANS).run(g)
+        out, direct = _run_columnar(TRANS, chain(8))
+        assert g == out
+        assert adapter.stats == direct
+        assert (direct.iterations, direct.firings, direct.derived,
+                direct.join_probes, direct.rules_dispatched,
+                direct.rules_skipped) == (4, 84, 28, 156, 4, 0)
 
     def test_mirror_survives_incremental_deltas(self):
         base = chain(4)
         full = chain(5)
         SemiNaiveEngine(TRANS).run(full)
-        engine = SemiNaiveEngine(TRANS, engine="columnar")
+        engine = SemiNaiveEngine(TRANS)
         engine.run(base)
         engine.run(base, delta=[Triple(URI("ex:n4"), URI("ex:p"), URI("ex:n5"))])
         assert base == full
 
     def test_external_mutation_invalidates_mirror(self):
-        # Mutating the graph behind the engine's back must re-mirror (the
-        # version counter); the fixpoint then matches the compiled engine
-        # run through the identical sequence.
-        g_cols, g_comp = chain(3), chain(3)
-        columnar = SemiNaiveEngine(TRANS, engine="columnar")
-        compiled = SemiNaiveEngine(TRANS)
+        # Mutating the graph between runs must be seen by the resumed
+        # fixpoint (every run encodes the graph as it is): the delta
+        # reaches every node through the external edge, while pairs that
+        # need the external edge alone are not re-derived (it was never
+        # part of a delta).
+        g_cols = chain(3)
+        columnar = SemiNaiveEngine(TRANS)
         columnar.run(g_cols)
-        compiled.run(g_comp)
         extra = Triple(URI("ex:n3"), URI("ex:p"), URI("ex:n4"))
         g_cols.add(extra)
-        g_comp.add(extra)
         delta = [Triple(URI("ex:n4"), URI("ex:p"), URI("ex:n5"))]
         columnar.run(g_cols, delta=list(delta))
-        compiled.run(g_comp, delta=list(delta))
-        assert g_cols == g_comp
+        expected = chain(3)
+        NaiveEngine(TRANS).run(expected)
+        expected.update([extra, *delta])
+        expected.update(Triple(URI(f"ex:n{i}"), URI("ex:p"), URI("ex:n5"))
+                        for i in range(4))
+        assert g_cols == expected
         # The external edge is visible to the resumed fixpoint: the delta
         # join reaches through it (n3-n5 via the mutated edge).
         assert Triple(URI("ex:n3"), URI("ex:p"), URI("ex:n5")) in g_cols
@@ -302,20 +311,18 @@ class TestDifferential:
     @settings(max_examples=30, deadline=None)
     @given(_instance_graphs())
     def test_four_layers_agree_on_full_horst_set(self, data):
+        # The naive oracle; the columnar engine driven directly; and the
+        # term-graph adapter over the dense and the run store.
         g_naive = data.copy()
-        g_generic = data.copy()
-        g_compiled = data.copy()
-        g_columnar = data.copy()
+        g_dense = data.copy()
+        g_run = data.copy()
         NaiveEngine(HORST_RULES).run(g_naive)
-        SemiNaiveEngine(HORST_RULES, compile_rules=False).run(g_generic)
-        compiled = SemiNaiveEngine(HORST_RULES).run(g_compiled)
-        columnar = SemiNaiveEngine(HORST_RULES, engine="columnar").run(g_columnar)
-        assert g_naive == g_generic == g_compiled == g_columnar
-        # The columnar stats replicate the compiled kernels' accounting
-        # candidate for candidate, not just in aggregate.
-        for f in ("iterations", "firings", "derived", "join_probes",
-                  "rules_dispatched", "rules_skipped"):
-            assert getattr(columnar.stats, f) == getattr(compiled.stats, f), f
+        g_direct, direct = _run_columnar(HORST_RULES, data)
+        dense = SemiNaiveEngine(HORST_RULES).run(g_dense)
+        run = SemiNaiveEngine(HORST_RULES, store="run").run(g_run)
+        assert g_naive == g_direct == g_dense == g_run
+        # Identical accounting, field by field, on every layer.
+        assert dense.stats == direct == run.stats
 
     @settings(max_examples=10, deadline=None)
     @given(_instance_graphs(), _instance_graphs())
@@ -325,7 +332,7 @@ class TestDifferential:
         SemiNaiveEngine(HORST_RULES).run(full)
 
         resumed = base.copy()
-        engine = SemiNaiveEngine(HORST_RULES, engine="columnar")
+        engine = SemiNaiveEngine(HORST_RULES)
         engine.run(resumed)
         engine.run(resumed, delta=list(extra))
         assert resumed == full
@@ -342,14 +349,17 @@ class TestDifferential:
             set(serial.graph) | set(reasoner.compiled.schema) | set(tbox))
 
     def test_lubm1_closure_matches_compiled(self):
+        # The naive oracle's closure, with the join_probes / firings the
+        # deleted compiled kernels reported on the same input.
         data = LUBM(1).data
         onto = lubm_ontology()
-        compiled = HorstReasoner(onto, engine="compiled").materialize(data)
-        columnar = HorstReasoner(onto, engine="columnar").materialize(data)
-        assert compiled.graph == columnar.graph
-        assert (compiled.engine_stats.join_probes
-                == columnar.engine_stats.join_probes)
-        assert compiled.engine_stats.firings == columnar.engine_stats.firings
+        reasoner = HorstReasoner(onto)
+        columnar = reasoner.materialize(data)
+        oracle = data.copy()
+        NaiveEngine(reasoner.rules).run(oracle)
+        assert columnar.graph == oracle
+        assert columnar.engine_stats.join_probes == 2416
+        assert columnar.engine_stats.firings == 2392
 
 
 # -- id-native parallel workers across process boundaries ---------------------

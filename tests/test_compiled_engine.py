@@ -1,24 +1,34 @@
-"""Compiled rule kernels, predicate dispatch, and the differential
-property test proving the three execution layers compute the same fixpoint.
+"""The rule evaluator: plan selection, predicate dispatch, pinned work
+counters, and oracle differentials — :class:`SemiNaiveEngine` against
+:class:`NaiveEngine` over random rules, and the id query engine
+(``IdIndex(ordering="bound")``) against :class:`BGPQuery` over random
+BGPs.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
+    Atom,
     NaiveEngine,
     PlanKind,
+    Rule,
     SemiNaiveEngine,
     build_plan,
     parse_rules,
 )
-from repro.datalog.plan import DispatchIndex
+from repro.datalog.columnar import IdDispatchIndex
+from repro.datasets import LUBM, MDC, UOBM
+from repro.datasets.lubm_queries import LUBM_QUERIES
 from repro.owl.compiler import compile_ontology
+from repro.owl.reasoner import HorstReasoner
 from repro.owl.vocabulary import OWL, RDF, RDFS
-from repro.rdf import Graph, Literal, Triple, URI
+from repro.rdf import BGPQuery, Graph, IdIndex, Literal, TermDictionary, Triple, URI
+from repro.rdf.terms import Variable
 
 PREFIX = "@prefix ex: <ex:>\n"
 TRANS = parse_rules(PREFIX + "[t: (?a ex:p ?b) (?b ex:p ?c) -> (?a ex:p ?c)]")
@@ -61,12 +71,8 @@ class TestPlanSelection:
             + "[t: (?a ex:p ?b) (?b ex:p ?c) -> (?a ex:p ?c)]"
             + "[m: (?a ex:p ?b) (?b ex:q ?c) (?c ex:r ?d) -> (?a ex:s ?d)]"
         )
-        assert SemiNaiveEngine(rules).kernel_kinds == ("scan", "join", "generic")
-        assert SemiNaiveEngine(rules, compile_rules=False).kernel_kinds == (
-            "generic",
-            "generic",
-            "generic",
-        )
+        assert tuple(build_plan(r).kind.value for r in rules) == (
+            "scan", "join", "generic")
 
     def test_variable_predicate_rule_is_wildcard_dispatch(self):
         r = parse_rules(
@@ -157,8 +163,12 @@ class TestDeltaDedup:
         assert result.stats.firings == 1
 
     def test_generic_interpreter_dedupes_too(self):
-        g = chain(2)
-        result = SemiNaiveEngine(TRANS, compile_rules=False).run(g)
+        # A 3-atom (generic-plan) body over a 3-edge chain: the single
+        # binding matches the delta at all three positions in round 1 and
+        # is kept once.
+        rules = parse_rules(
+            PREFIX + "[m: (?a ex:p ?b) (?b ex:p ?c) (?c ex:p ?d) -> (?a ex:q ?d)]")
+        result = SemiNaiveEngine(rules).run(chain(3))
         assert result.stats.firings == 1
 
     def test_firings_drop_on_delta_heavy_round(self):
@@ -168,19 +178,11 @@ class TestDeltaDedup:
         # plus the downstream rounds' single-position derivations.
         g = chain(8)
         result = SemiNaiveEngine(TRANS).run(g)
-        generic = SemiNaiveEngine(TRANS, compile_rules=False).run(chain(8))
-        assert result.stats.firings == generic.stats.firings
+        assert result.stats.firings == 84
         # The closure of an 8-edge chain: every firing is a distinct
         # binding; duplicates would push this above the pair count.
         naive = NaiveEngine(TRANS).run(chain(8))
         assert result.stats.firings < naive.stats.firings
-
-    def test_compiled_probes_below_generic(self):
-        # The compiled join restricts half B to G ∖ Δ inside the index
-        # walk, so delta-heavy rounds examine strictly fewer candidates.
-        compiled = SemiNaiveEngine(TRANS).run(chain(10))
-        generic = SemiNaiveEngine(TRANS, compile_rules=False).run(chain(10))
-        assert compiled.stats.join_probes < generic.stats.join_probes
 
 
 # -- predicate dispatch (satellite: dispatch-count unit test) ----------------
@@ -202,32 +204,33 @@ class TestDispatch:
         assert result.stats.rules_dispatched == 1
         assert result.stats.rules_skipped == 3
 
-    def test_generic_engine_has_no_dispatch(self):
-        g = chain(3)
-        result = SemiNaiveEngine(self.RULES, compile_rules=False).run(g)
-        assert result.stats.rules_dispatched == 2 * result.stats.iterations
-        assert result.stats.rules_skipped == 0
-
     def test_dispatch_preserves_fixpoint(self):
         g1, g2 = chain(5), chain(5)
         SemiNaiveEngine(self.RULES).run(g1)
-        SemiNaiveEngine(self.RULES, compile_rules=False).run(g2)
+        NaiveEngine(self.RULES).run(g2)
         assert g1 == g2
 
     def test_wildcard_rule_always_dispatched(self):
         rules = parse_rules(
             PREFIX + "[w: (?s ex:same ?x) (?s ?p ?o) -> (?x ?p ?o)]"
         )
-        idx = DispatchIndex([build_plan(r) for r in rules])
-        assert idx.candidates(set()) == [0]
-        assert idx.candidates({URI("ex:whatever")}) == [0]
+        d = TermDictionary()
+        idx = IdDispatchIndex([build_plan(r) for r in rules], d)
+        assert idx.candidates(_pred_ids(d)) == [0]
+        assert idx.candidates(_pred_ids(d, "ex:whatever")) == [0]
 
     def test_dispatch_index_candidates(self):
-        idx = DispatchIndex([build_plan(r) for r in self.RULES])
-        assert idx.candidates({URI("ex:p")}) == [0]
-        assert idx.candidates({URI("ex:r")}) == [1]
-        assert idx.candidates({URI("ex:p"), URI("ex:r")}) == [0, 1]
-        assert idx.candidates({URI("ex:absent")}) == []
+        d = TermDictionary()
+        idx = IdDispatchIndex([build_plan(r) for r in self.RULES], d)
+        assert idx.candidates(_pred_ids(d, "ex:p")) == [0]
+        assert idx.candidates(_pred_ids(d, "ex:r")) == [1]
+        assert idx.candidates(_pred_ids(d, "ex:p", "ex:r")) == [0, 1]
+        assert idx.candidates(_pred_ids(d, "ex:absent")) == []
+
+
+def _pred_ids(dictionary, *uris):
+    return np.asarray([dictionary.encode(URI(u)) for u in uris],
+                      dtype=np.int64)
 
 
 # -- differential property test (satellite) ----------------------------------
@@ -296,19 +299,18 @@ class TestDifferential:
     @settings(max_examples=30, deadline=None)
     @given(_instance_graphs())
     def test_three_layers_agree_on_full_horst_set(self, data):
+        # The naive oracle, and the semi-naive engine over both id stores
+        # (dense, and the run store under a small budget).
         g_naive = data.copy()
-        g_generic = data.copy()
-        g_compiled = data.copy()
-        NaiveEngine(HORST_RULES).run(g_naive)
-        generic = SemiNaiveEngine(HORST_RULES, compile_rules=False).run(g_generic)
-        compiled = SemiNaiveEngine(HORST_RULES).run(g_compiled)
-        assert g_naive == g_generic
-        assert g_naive == g_compiled
-        # Identical fixpoints and identical derivation accounting ...
-        assert compiled.stats.derived == generic.stats.derived
-        assert compiled.stats.firings == generic.stats.firings
-        # ... with the compiled layer never examining more candidates.
-        assert compiled.stats.join_probes <= generic.stats.join_probes
+        g_dense = data.copy()
+        g_run = data.copy()
+        naive = NaiveEngine(HORST_RULES).run(g_naive)
+        dense = SemiNaiveEngine(HORST_RULES).run(g_dense)
+        run = SemiNaiveEngine(
+            HORST_RULES, memory_budget_bytes=1 << 16).run(g_run)
+        assert g_naive == g_dense == g_run
+        assert dense.stats.derived == naive.stats.derived
+        assert dense.stats == run.stats
 
     @settings(max_examples=10, deadline=None)
     @given(_instance_graphs(), _instance_graphs())
@@ -342,3 +344,150 @@ class TestStatsPlumbing:
         g = chain(5)
         result = SemiNaiveEngine(TRANS).run(g)
         assert result.stats.work == result.stats.join_probes + result.stats.firings
+
+
+# -- pinned work counters ----------------------------------------------------
+
+#: ``HorstReasoner`` forward stats ``(iterations, join_probes, firings,
+#: derived, rules_dispatched, rules_skipped, |closure|)``, as the deleted
+#: term-level compiled engine and the columnar engine both reported them.
+FORWARD_PINS = {
+    ("LUBM", False): (3, 2416, 2392, 628, 165, 75, 1436),
+    ("LUBM", True): (3, 3852, 2392, 628, 168, 81, 1436),
+    ("UOBM", False): (4, 5388, 5108, 1197, 185, 175, 2352),
+    ("UOBM", True): (4, 7740, 5108, 1197, 189, 183, 2352),
+    ("MDC", False): (6, 7082, 5568, 1283, 93, 105, 1530),
+    ("MDC", True): (6, 8612, 5568, 1283, 99, 117, 1530),
+}
+
+_DATASETS = {"LUBM": LUBM, "UOBM": UOBM, "MDC": MDC}
+
+#: ``(index_probes, solutions)`` of the 14 LUBM queries over the LUBM(2)
+#: closure, identical for the term oracle and the bound-ordered id engine.
+QUERY_PINS = {
+    "Q1": (76, 4), "Q2": (806, 14), "Q3": (74, 2), "Q4": (42, 6),
+    "Q5": (378, 54), "Q6": (288, 288), "Q7": (10959, 15),
+    "Q8": (3024, 144), "Q9": (13418, 26), "Q10": (303, 15),
+    "Q11": (9, 3), "Q12": (63, 3), "Q13": (36, 36), "Q14": (216, 216),
+}
+
+
+class TestCounterPins:
+    @pytest.mark.parametrize("faithful", [False, True],
+                             ids=["default", "faithful-sameas"])
+    @pytest.mark.parametrize("name", ["LUBM", "UOBM", "MDC"])
+    def test_forward_stats_pinned(self, name, faithful):
+        # ``faithful``: the unsplit rdfp11, a variable-predicate 3-atom
+        # rule on the distinct-bindings path.
+        dataset = _DATASETS[name](1)
+        kwargs = (dict(include_sameas_propagation=True, split_sameas=False)
+                  if faithful else {})
+        result = HorstReasoner(dataset.ontology, **kwargs).materialize(
+            dataset.data)
+        s = result.engine_stats
+        assert (s.iterations, s.join_probes, s.firings, s.derived,
+                s.rules_dispatched, s.rules_skipped,
+                len(result.graph)) == FORWARD_PINS[name, faithful]
+
+    def test_lubm_query_probes_pinned(self):
+        dataset = LUBM(2)
+        closed = HorstReasoner(dataset.ontology).materialize(
+            dataset.data).graph
+        index = IdIndex(closed, ordering="bound")
+        for query in LUBM_QUERIES:
+            bgp = query.parse().bgp
+            _rows, term = bgp.execute_with_stats(closed)
+            _rows, ids = index.execute_with_stats(bgp)
+            assert (term.index_probes, term.solutions) == QUERY_PINS[
+                query.name], query.name
+            assert (ids.index_probes, ids.solutions) == QUERY_PINS[
+                query.name], query.name
+
+
+# -- oracle differential: random rules ---------------------------------------
+
+_X, _Y, _Z, _W = (Variable(n) for n in "xyzw")
+_VARS = st.sampled_from([_X, _Y, _Z, _W])
+_RES = st.sampled_from([URI(f"ex:r{i}") for i in range(4)])
+_PREDS = st.sampled_from([URI("ex:p"), URI("ex:q"), URI("ex:r0")])
+_LIT = st.just(Literal("lit"))
+
+_atoms = st.builds(
+    Atom,
+    st.one_of(_VARS, _RES),
+    st.one_of(_VARS, _PREDS),
+    st.one_of(_VARS, _RES, _LIT),
+)
+
+
+@st.composite
+def _rules(draw):
+    """1–3 random rules of 1–3 body atoms: repeated variables, variable
+    predicates, and heads that may put a literal (or a resource bound
+    from a literal position) in subject or predicate position."""
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        body = draw(st.lists(_atoms, min_size=1, max_size=3))
+        bound = sorted(set().union(*(a.variables() for a in body)),
+                       key=lambda v: v.name)
+        pick = st.sampled_from(bound) if bound else _RES
+        head = Atom(draw(st.one_of(pick, _RES)),
+                    draw(st.one_of(pick, _PREDS)),
+                    draw(st.one_of(pick, _RES, _LIT)))
+        try:
+            out.append(Rule(f"r{i}", body, head))
+        except ValueError:
+            assume(False)
+    return out
+
+
+_triples = st.builds(Triple, _RES, _PREDS, st.one_of(_RES, _LIT))
+
+
+class TestRuleDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(_rules(), st.lists(_triples, max_size=12))
+    def test_semi_naive_matches_naive_from_scratch(self, rules, triples):
+        g_naive, g_semi = Graph(triples), Graph(triples)
+        naive = NaiveEngine(rules).run(g_naive)
+        semi = SemiNaiveEngine(rules).run(g_semi)
+        assert g_semi == g_naive
+        assert set(semi.inferred) == set(naive.inferred)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_rules(), st.lists(_triples, max_size=10),
+           st.lists(_triples, max_size=6))
+    def test_semi_naive_matches_naive_with_delta_resume(
+            self, rules, base, extra):
+        oracle = Graph(base + extra)
+        NaiveEngine(rules).run(oracle)
+        resumed = Graph(base)
+        engine = SemiNaiveEngine(rules)
+        engine.run(resumed)
+        engine.run(resumed, delta=extra)
+        assert resumed == oracle
+
+
+# -- oracle differential: random BGPs ----------------------------------------
+
+_patterns = st.builds(
+    Atom,
+    st.one_of(_VARS, _RES),
+    st.one_of(_VARS, _PREDS, st.just(URI("ex:absent"))),
+    st.one_of(_VARS, _RES, _LIT),
+)
+
+
+class TestBGPDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_patterns, min_size=1, max_size=3),
+           st.lists(_triples, max_size=15))
+    def test_bound_ordered_id_engine_matches_term_oracle(
+            self, patterns, triples):
+        g = Graph(triples)
+        query = BGPQuery(patterns)
+        term_rows, term = query.execute_with_stats(g)
+        id_rows, ids = IdIndex(g, ordering="bound").execute_with_stats(query)
+        assert ids == term
+        assert (sorted(sorted(map(str, b.items())) for b in id_rows)
+                == sorted(sorted(map(str, b.items())) for b in term_rows))

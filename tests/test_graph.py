@@ -164,7 +164,8 @@ class TestSetOperations:
 
 
 class TestRawAccessors:
-    """The fast paths the compiled rule kernels probe through."""
+    """The raw-term fast paths, and the index levels behind each
+    one-position-free ``match`` shape."""
 
     def test_spo_items_matches_iteration(self, small):
         assert set(small.spo_items()) == {(t.s, t.p, t.o) for t in small}
@@ -175,34 +176,43 @@ class TestRawAccessors:
         assert not small.contains_spo(u("z"), u("p"), u("b"))
 
     def test_objects_set(self, small):
-        assert small.objects_set(u("a"), u("p")) == {u("b"), u("c")}
-        assert small.objects_set(u("a"), u("q")) is None
-        assert small.objects_set(u("z"), u("p")) is None
+        assert _free(small, u("a"), u("p"), None) == {u("b"), u("c")}
+        assert _free(small, u("a"), u("q"), None) == set()
+        assert _free(small, u("z"), u("p"), None) == set()
 
     def test_subjects_set(self, small):
-        assert small.subjects_set(u("q"), u("c")) == {u("b")}
-        assert small.subjects_set(u("q"), u("z")) is None
+        assert _free(small, None, u("q"), u("c")) == {u("b")}
+        assert _free(small, None, u("q"), u("z")) == set()
 
     def test_predicates_set(self, small):
-        assert small.predicates_set(u("b"), u("c")) == {u("q")}
-        assert small.predicates_set(u("a"), u("z")) is None
+        assert _free(small, u("b"), None, u("c")) == {u("q")}
+        assert _free(small, u("a"), None, u("z")) == set()
 
     def test_maps(self, small):
-        assert set(small.po_map(u("a"))) == {u("p")}
-        assert small.po_map(u("zzz")) is None
-        assert set(small.os_map(u("p"))) == {u("b"), u("c"), Literal("leaf")}
-        assert small.os_map(u("zzz")) is None
-        assert set(small.sp_map(u("c"))) == {u("a"), u("b")}
-        assert small.sp_map(u("zzz")) is None
+        assert {t.p for t in small.match(u("a"), None, None)} == {u("p")}
+        assert not list(small.match(u("zzz"), None, None))
+        assert ({t.o for t in small.match(None, u("p"), None)}
+                == {u("b"), u("c"), Literal("leaf")})
+        assert not list(small.match(None, u("zzz"), None))
+        assert ({t.s for t in small.match(None, None, u("c"))}
+                == {u("a"), u("b")})
+        assert not list(small.match(None, None, u("zzz")))
 
     def test_accessors_track_discard(self, small):
         small.discard(Triple(u("a"), u("p"), u("b")))
-        assert small.objects_set(u("a"), u("p")) == {u("c")}
+        assert _free(small, u("a"), u("p"), None) == {u("c")}
         assert not small.contains_spo(u("a"), u("p"), u("b"))
         small.discard(Triple(u("a"), u("p"), u("c")))
-        # Emptied index levels are pruned, so the accessor sees None.
-        assert small.objects_set(u("a"), u("p")) is None
-        assert small.po_map(u("a")) is None
+        # Emptied index levels are pruned.
+        assert _free(small, u("a"), u("p"), None) == set()
+        assert not list(small.match(u("a"), None, None))
+        small.check_integrity()
+
+
+def _free(graph, s, p, o):
+    """The values at the one unbound position of an ``(s, p, o)`` match."""
+    pos = (s, p, o).index(None)
+    return {tuple(t)[pos] for t in graph.match(s, p, o)}
 
 
 def test_integrity_checker_catches_corruption(small):

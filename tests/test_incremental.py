@@ -367,10 +367,9 @@ def test_discard_keeps_indexes_and_version_coherent():
 
 
 def test_columnar_mirror_invalidated_by_external_discard():
-    """The engine's cached id mirror is version-keyed: a discard made
-    behind the engine's back must force a mirror rebuild, never a resume
-    from stale rows."""
-    engine = SemiNaiveEngine(TRANS, engine="columnar")
+    """A discard made behind the engine's back between runs must be
+    seen by the next run, never resumed from stale rows."""
+    engine = SemiNaiveEngine(TRANS)
     g = Graph()
     chain = [Triple(URI(f"n:{i}"), URI("ex:p"), URI(f"n:{i + 1}"))
              for i in range(4)]

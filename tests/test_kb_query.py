@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalog.ast import Atom
+from repro.datalog.join import order_patterns
 from repro.datasets import LUBM
 from repro.datasets.lubm import UB
 from repro.owl import HorstReasoner, MaterializedKB
@@ -94,7 +95,7 @@ class TestBGPQuery:
         """The ground-subject pattern must be evaluated first regardless of
         the order it was written in."""
         q = BGPQuery([Atom(X, u("knows"), Y), Atom(u("alice"), u("knows"), X)])
-        ordered = q._order(set())
+        ordered = order_patterns(q.patterns)
         assert ordered[0].s == u("alice")
 
 

@@ -1,7 +1,11 @@
 """Unit tests for N-Triples parsing and serialization, including the
 malformed-input failure paths."""
 
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rdf import (
     BNode,
@@ -107,6 +111,12 @@ class TestMalformed:
             '<ex:a> <ex:p> "x"@\u00e9 .',  # isalnum() but not ASCII
             '<ex:a> <ex:p> "x"@en\u00e9 .',
             "<ex:a> <ex:p> <ex:b> . <ex:c> # not only a comment",
+            # \u takes hex digits only, not whatever int(x, 16) takes.
+            r"<ex:\u+1F0> <ex:p> <ex:o> .",
+            r"<ex:\u1_00> <ex:p> <ex:o> .",
+            r'<ex:a> <ex:p> "\u+1F0" .',
+            r'<ex:a> <ex:p> "\u 1F0" .',
+            r'<ex:a> <ex:p> "\U0000_1F0" .',
         ],
     )
     def test_raises_parse_error(self, line):
@@ -141,3 +151,38 @@ class TestRoundTrip:
     def test_single_triple_form(self):
         t = Triple(URI("ex:a"), URI("ex:p"), URI("ex:b"))
         assert triple_to_ntriples(t) == "<ex:a> <ex:p> <ex:b> ."
+
+    def test_control_character_iri_round_trips(self):
+        # An IRI read from an escaped control character writes the
+        # escape back, so the line reads again.
+        t = parse_ntriples_line(r"<ex:a\u0001> <ex:p> <ex:o> .")
+        assert t.s == URI("ex:a\x01")
+        assert triple_to_ntriples(t) == r"<ex:a\u0001> <ex:p> <ex:o> ."
+        assert parse_ntriples_line(triple_to_ntriples(t)) == t
+
+
+_uris = st.text(min_size=1).map(URI)
+_bnodes = st.from_regex(
+    r"[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?", fullmatch=True
+).map(BNode)
+_langs = st.from_regex(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8}){0,2}",
+                       fullmatch=True)
+_literals = st.one_of(
+    st.builds(Literal, st.text()),
+    st.builds(lambda lex, lang: Literal(lex, language=lang),
+              st.text(), _langs),
+    st.builds(lambda lex, dt: Literal(lex, datatype=dt), st.text(), _uris),
+)
+_any_triples = st.builds(
+    Triple, st.one_of(_uris, _bnodes), _uris,
+    st.one_of(_uris, _bnodes, _literals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_triples, max_size=8))
+def test_writer_reader_round_trip_every_term_kind(triples):
+    """Every term kind, any text: what the writer emits the reader reads
+    back to the same triples, from a string and from a stream."""
+    doc = serialize_ntriples(triples)
+    assert list(parse_ntriples(doc)) == triples
+    assert list(parse_ntriples(io.StringIO(doc, newline=""))) == triples

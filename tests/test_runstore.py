@@ -304,34 +304,30 @@ def _stats_dict(stats):
 
 class TestEngineIntegration:
     def test_store_selection_and_validation(self):
-        assert SemiNaiveEngine(TRANS, engine="columnar").store_kind == "dense"
+        assert SemiNaiveEngine(TRANS).store_kind == "dense"
         assert SemiNaiveEngine(
-            TRANS, engine="columnar", store="run").store_kind == "run"
+            TRANS, store="run").store_kind == "run"
         # A budget implies the run store.
         eng = SemiNaiveEngine(
-            TRANS, engine="columnar", memory_budget_bytes=1 << 20)
+            TRANS, memory_budget_bytes=1 << 20)
         assert eng.store_kind == "run"
         with pytest.raises(ValueError):
-            SemiNaiveEngine(TRANS, store="run")  # compiled engine: no mirror
-        with pytest.raises(ValueError):
-            SemiNaiveEngine(TRANS, memory_budget_bytes=1 << 20)
-        with pytest.raises(ValueError):
-            SemiNaiveEngine(TRANS, engine="columnar", store="holographic")
+            SemiNaiveEngine(TRANS, store="holographic")
 
     def test_run_store_closure_matches_dense(self):
         g_dense, g_run = chain(40), chain(40)
-        dense = SemiNaiveEngine(TRANS, engine="columnar").run(g_dense)
+        dense = SemiNaiveEngine(TRANS).run(g_dense)
         run = SemiNaiveEngine(
-            TRANS, engine="columnar", store="run").run(g_run)
+            TRANS, store="run").run(g_run)
         assert g_dense == g_run
         assert _stats_dict(dense.stats) == _stats_dict(run.stats)
         assert set(dense.inferred) == set(run.inferred)
 
     def test_budgeted_closure_matches_dense(self):
         g_dense, g_run = chain(60), chain(60)
-        dense = SemiNaiveEngine(TRANS, engine="columnar").run(g_dense)
+        dense = SemiNaiveEngine(TRANS).run(g_dense)
         run = SemiNaiveEngine(
-            TRANS, engine="columnar", store="run",
+            TRANS, store="run",
             memory_budget_bytes=200_000).run(g_run)
         assert g_dense == g_run
         assert _stats_dict(dense.stats) == _stats_dict(run.stats)
@@ -340,9 +336,9 @@ class TestEngineIntegration:
         base = chain(30)
         extra = [t for t in chain(35) if t not in base]
         full = chain(35)
-        SemiNaiveEngine(TRANS, engine="columnar").run(full)
+        SemiNaiveEngine(TRANS).run(full)
         resumed = chain(30)
-        eng = SemiNaiveEngine(TRANS, engine="columnar", store="run")
+        eng = SemiNaiveEngine(TRANS, store="run")
         eng.run(resumed)
         eng.run(resumed, delta=extra)
         assert resumed == full
@@ -351,9 +347,9 @@ class TestEngineIntegration:
         tbox = Graph()
         tbox.add_spo(URI("ex:partOf"), RDF.type, OWL.TransitiveProperty)
         data = chain(25, pred="ex:partOf")
-        dense = HorstReasoner(tbox, engine="columnar").materialize(data)
+        dense = HorstReasoner(tbox).materialize(data)
         run = HorstReasoner(
-            tbox, engine="columnar", store="run",
+            tbox, store="run",
             memory_budget_bytes=1 << 20).materialize(data)
         assert set(dense.graph) == set(run.graph)
         assert (_stats_dict(dense.engine_stats)

@@ -235,12 +235,12 @@ def test_engine_env_gating_swaps_store(monkeypatch):
     from repro.datalog.engine import SemiNaiveEngine
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    eng = SemiNaiveEngine([], engine="columnar")
+    eng = SemiNaiveEngine([])
     assert not isinstance(eng._make_store(), SanitizedIdGraph)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert isinstance(eng._make_store(), SanitizedIdGraph)
     # Explicit opt-out wins over the env.
-    eng_off = SemiNaiveEngine([], engine="columnar", sanitize=False)
+    eng_off = SemiNaiveEngine([], sanitize=False)
     assert not isinstance(eng_off._make_store(), SanitizedIdGraph)
 
 
