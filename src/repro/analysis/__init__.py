@@ -1,21 +1,23 @@
 """Static analysis for the parallel runtime: one import surface.
 
-Four passes (see DESIGN.md §10 and §14):
+Three passes (see DESIGN.md §10 and §14), run by tier-1 and by
+``python -m repro.analysis`` (the CI ``analysis`` job), never on the run
+path:
 
 * :mod:`repro.analysis.protocol` — the async control protocol as a
   declarative spec, statically verified against the backend sources.
 * :mod:`repro.analysis.lint` — the PR-3 concurrency bug classes as AST
   rules plus the behavioral spawn-safety probe.
 * :mod:`repro.analysis.dataflow` — the store-invariant contract
-  (ST300-series): mutation/invalidation discipline of the id-native
-  stores, tombstone paths, stripe minting.  Its runtime twin is
+  (ST300-series): every mutator of a versioned store bumps its version,
+  tombstone paths, stripe minting.  Its runtime twin is
   :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=1``).
-* :mod:`repro.analysis.preflight` — the run-time gate
-  (``materialize(..., preflight=...)``) folding the rule-partitionability
-  check and the passes above.
 
-The rule-analysis helpers from :mod:`repro.datalog.analysis` are
-re-exported here so gate callers need a single import.
+The one check that does run with every data-partitioned
+``materialize*`` call is the rule gate,
+:func:`~repro.datalog.analysis.check_data_partitionable`; it and the
+other rule-analysis helpers from :mod:`repro.datalog.analysis` are
+re-exported here so callers need a single import.
 
 Run it all from the command line::
 
@@ -35,7 +37,6 @@ from repro.analysis.dataflow import (
     StoreSpec,
     StripeRule,
     TombstoneRule,
-    VersionRule,
     store_spec_table,
     verify_stores,
 )
@@ -52,12 +53,6 @@ from repro.analysis.sanitize import (
     check_ledger,
     check_stripe_disjointness,
 )
-from repro.analysis.preflight import (
-    PreflightError,
-    PreflightWarning,
-    default_allowlist_path,
-    run_preflight,
-)
 from repro.analysis.protocol import (
     ASYNC_PROTOCOL,
     HandlerSpec,
@@ -72,6 +67,7 @@ from repro.analysis.report import (
     AllowlistError,
     AnalysisReport,
     Finding,
+    default_allowlist_path,
     load_allowlist,
     parse_allowlist,
 )
@@ -100,8 +96,6 @@ __all__ = [
     "LintConfig",
     "MessageSpec",
     "PartitionabilityDiagnostic",
-    "PreflightError",
-    "PreflightWarning",
     "ProtocolSpec",
     "STORE_SPECS",
     "STRIPE_RULES",
@@ -112,7 +106,6 @@ __all__ = [
     "StoreSpec",
     "StripeRule",
     "TombstoneRule",
-    "VersionRule",
     "check_data_partitionable",
     "check_ledger",
     "check_spawn_safety",
@@ -126,7 +119,6 @@ __all__ = [
     "parse_allowlist",
     "partitionability_diagnostics",
     "run_all",
-    "run_preflight",
     "sanitize_enabled",
     "spec_table",
     "store_spec_table",

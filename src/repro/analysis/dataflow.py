@@ -1,24 +1,29 @@
 """Store-invariant dataflow verifier (ST300-series).
 
-The id-native stores (`IdGraph`, `RunStore`, `TermDictionary`,
-`EncodedGraph`) are mutable numpy structures whose correctness rests on
-unwritten discipline: every mutation must invalidate the right lazily
-cached artifact (sorted-index views, the LRU decode cache, kind arrays,
-`resource_ids`/`edges`), every cache read must consult a staleness guard,
+The id-native stores (`Graph`, `IdGraph`, `RunStore`, `TermDictionary`,
+`EncodedGraph`) are mutable structures whose correctness rests on
+discipline: anything derived from their rows must notice every change,
 tombstones move only along blessed delete paths, and fresh term ids are
 minted only by `PartitionDictionary`'s stripe arithmetic.  A single
 forgotten invalidation corrupts closure results without any test failing
 deterministically.
 
-This module writes that discipline down as data — a :class:`StoreSpec`
-per store class — and verifies it with a pure-AST dataflow pass over the
-store sources, the same declarative-spec-plus-verifier shape as the
-protocol pass (PROTO-series) in :mod:`repro.analysis.protocol`:
+Invalidation is by construction: each store derives from
+:class:`~repro.rdf.versioned.Versioned`, caches every derived artifact
+through ``_cached`` (stored with the version it was built at, rebuilt on
+a mismatch), and moves its version with ``_bump()``.  What is left to
+verify is written down as data — a :class:`StoreSpec` per store class —
+and checked by a pure-AST dataflow pass over the store sources, the same
+declarative-spec-plus-verifier shape as the protocol pass (PROTO-series)
+in :mod:`repro.analysis.protocol`:
 
 ========  =====================================================================
-ST300     a blessed mutator no longer invalidates a cache / bumps a version
-ST301     a cache is read without its staleness guard, or from an unaudited
-          method
+ST300     a declared mutator of a versioned store does not call ``_bump()``,
+          another method does (seals and merges keep the version), or a
+          method touches the version bookkeeping (``_version`` /
+          ``_derived``) instead of going through ``_bump`` / ``_cached``
+ST301     the one cache kept outside a store (`WorkerResultCache`) is read
+          from an unaudited method
 ST302     a tombstone set is written (or passed to a mutating callee) outside
           the blessed delete paths
 ST303     stripe-id minting arithmetic (``base + j*k + node_id``) outside the
@@ -26,7 +31,8 @@ ST303     stripe-id minting arithmetic (``base + j*k + node_id``) outside the
 ST304     direct column/state writes bypassing the mutation API (including
           writes from *other* modules reaching into a store's privates)
 ST305     spec/source drift — a spec-named class, method or attribute no
-          longer exists (fails loudly, like PROTO001)
+          longer exists, or a store with mutators is not `Versioned`
+          (fails loudly, like PROTO001)
 ========  =====================================================================
 
 The pass is deliberately syntactic: it tracks ``self.<attr>`` reads,
@@ -35,7 +41,8 @@ argument into a ``self.<method>(...)`` call.  Mutation through a local
 alias (``rows = self._terms; rows.append(...)``) is invisible to it —
 acceptable because the blessed writers are exactly the methods that use
 that idiom, and the runtime sanitizer (:mod:`repro.analysis.sanitize`)
-covers the dynamic side.
+and the stateful store model (``tests/test_store_model.py``) cover the
+dynamic side.
 """
 
 from __future__ import annotations
@@ -63,30 +70,14 @@ class StateRule:
 
 @dataclass(frozen=True)
 class CacheRule:
-    """A lazily cached artifact derived from store state.
-
-    ``invalidators`` are mutators that must drop/clear the cache;
-    ``readers`` are the audited read sites, each of which must consult
-    ``guard`` (an attribute mentioned in the staleness test) or — when
-    ``guard`` is None — an ``is None`` rebuild test.  ``writers`` may
-    (re)populate the cache; ``exempt`` methods may touch it without a
-    guard (e.g. byte accounting).
-    """
+    """A cache kept outside any store, keyed on a store version: only
+    ``readers`` may read it, only ``writers`` write it; ``exempt`` methods
+    may touch it for sizing."""
 
     attr: str
-    invalidators: frozenset[str]
     readers: frozenset[str]
-    guard: str | None
     writers: frozenset[str]
     exempt: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class VersionRule:
-    """A version counter every listed mutator must bump."""
-
-    attr: str
-    bumpers: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -99,13 +90,18 @@ class TombstoneRule:
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """The invariant contract of one store class."""
+    """The invariant contract of one store class.
+
+    ``mutators`` are the methods that change the row (or term) set; a
+    class declaring any must be :class:`~repro.rdf.versioned.Versioned`
+    and each of them must call ``_bump()``.
+    """
 
     module: str
     cls: str
     state: tuple[StateRule, ...] = ()
+    mutators: frozenset[str] = frozenset()
     caches: tuple[CacheRule, ...] = ()
-    versions: tuple[VersionRule, ...] = ()
     tombstones: tuple[TombstoneRule, ...] = ()
 
 
@@ -138,7 +134,7 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
             StateRule("_osp", _fs("add", "discard", "clear")),
             StateRule("_size", _fs("add", "discard", "clear")),
         ),
-        versions=(VersionRule("_version", _fs("add", "discard", "clear")),),
+        mutators=_fs("add", "discard", "clear"),
     ),
     StoreSpec(
         module="repro.rdf.idstore",
@@ -149,25 +145,7 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
             StateRule("_o", _fs("_reserve", "add_rows", "delete_rows")),
             StateRule("_n", _fs("add_rows", "delete_rows")),
         ),
-        caches=(
-            CacheRule(
-                "_views",
-                invalidators=_fs("delete_rows"),
-                readers=_fs("sorted_view", "_view_parts"),
-                guard="_n",
-                writers=_fs("_rebuild"),
-                exempt=_fs("memory_bytes"),
-            ),
-            CacheRule(
-                "_tail_views",
-                invalidators=_fs("delete_rows"),
-                readers=_fs("_view_parts"),
-                guard="_n",
-                writers=_fs("_rebuild", "_view_parts"),
-                exempt=_fs("memory_bytes"),
-            ),
-        ),
-        versions=(VersionRule("_version", _fs("add_rows", "delete_rows")),),
+        mutators=_fs("add_rows", "delete_rows"),
     ),
     StoreSpec(
         module="repro.rdf.runstore",
@@ -179,46 +157,9 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
             StateRule("_cache", _fs("_cache_get", "_cache_put", "_retire")),
             StateRule("_cache_used", _fs("_cache_put", "_retire")),
         ),
-        versions=(VersionRule("_version", _fs("add_rows", "delete_rows")),),
+        mutators=_fs("add_rows", "delete_rows"),
         tombstones=(
             TombstoneRule("_tombs", _fs("add_rows", "delete_rows", "_compact")),
-        ),
-    ),
-    StoreSpec(
-        module="repro.rdf.idquery",
-        cls="IdIndex",
-        caches=(
-            # The id-encoded mirror an index keeps when it starts from a
-            # term graph: rebuilt inside ``current`` whenever the graph's
-            # version moved past the ``_key`` the mirror was built at.
-            # No in-class invalidators — invalidation is the version-key
-            # comparison itself.  (Over an id-native owner ``current``
-            # returns the owner's live store and caches nothing.)
-            CacheRule(
-                "_mirror",
-                invalidators=_fs(),
-                readers=_fs("current"),
-                guard="_key",
-                writers=_fs("current"),
-            ),
-        ),
-    ),
-    StoreSpec(
-        module="repro.rdf.stores",
-        cls="TermView",
-        caches=(
-            # The term views of MaterializedKB (``graph`` / ``base_graph``)
-            # and of a parallel run's result (``RunOutput.graph``):
-            # a decoded Graph snapshot keyed on (store, store version).
-            # No in-class invalidators — a write moves the store's
-            # version, and ``of`` drops the snapshot on key mismatch.
-            CacheRule(
-                "_graph",
-                invalidators=_fs(),
-                readers=_fs("of"),
-                guard="_key",
-                writers=_fs("of"),
-            ),
         ),
     ),
     StoreSpec(
@@ -229,15 +170,7 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
             StateRule("_terms", _fs("encode", "encode_many")),
             StateRule("_kinds", _fs("encode", "encode_many")),
         ),
-        caches=(
-            CacheRule(
-                "_kind_arr",
-                invalidators=_fs("encode", "encode_many"),
-                readers=_fs("_kind_array"),
-                guard=None,
-                writers=_fs("_kind_array"),
-            ),
-        ),
+        mutators=_fs("encode", "encode_many"),
     ),
     StoreSpec(
         module="repro.rdf.dictionary",
@@ -257,39 +190,20 @@ STORE_SPECS: tuple[StoreSpec, ...] = (
             StateRule("p_ids", _fs("append")),
             StateRule("o_ids", _fs("append")),
         ),
-        caches=(
-            CacheRule(
-                "_resource_ids",
-                invalidators=_fs("append"),
-                readers=_fs("resource_ids"),
-                guard=None,
-                writers=_fs("resource_ids"),
-            ),
-            CacheRule(
-                "_edges",
-                invalidators=_fs("append"),
-                readers=_fs("edges"),
-                guard=None,
-                writers=_fs("edges"),
-            ),
-        ),
+        mutators=_fs("append"),
     ),
     StoreSpec(
         module="repro.serving.server",
         cls="WorkerResultCache",
         caches=(
             # The serving tier's per-worker pattern answers, keyed on the
-            # worker store's version at compute time.  No in-class
-            # invalidators — a write path that bumps the store version
-            # invalidates by key mismatch inside ``lookup`` (its
-            # ``entry is None or entry[0] != version`` test is the
-            # guard); ``lookup`` also writes the OrderedDict for LRU
-            # recency, hence its place among the writers.
+            # worker store's version at compute time: ``lookup`` treats a
+            # version mismatch as a miss (and moves the entry for LRU
+            # recency, hence its place among the writers).  It is the one
+            # cache not held on a store, so its readers stay audited.
             CacheRule(
                 "_entries",
-                invalidators=_fs(),
                 readers=_fs("lookup"),
-                guard=None,
                 writers=_fs("store", "lookup"),
                 exempt=_fs("__len__"),
             ),
@@ -355,6 +269,10 @@ CONSUMER_MODULES: tuple[str, ...] = (
     # The serving load driver reads server stats; same one-way promise.
     "repro.serving.loadgen",
 )
+
+#: :class:`~repro.rdf.versioned.Versioned`'s bookkeeping: a store reaches
+#: it only through ``_bump()`` / ``_cached()``.
+_VERSIONED_ATTRS: frozenset[str] = frozenset({"_version", "_derived"})
 
 #: Attribute calls that mutate their receiver.
 _MUTATING_CALLS: frozenset[str] = frozenset(
@@ -498,29 +416,6 @@ def _slot_names(cls: ast.ClassDef) -> set[str]:
     return out
 
 
-def _mentions_guard(func: ast.AST, guard: str) -> bool:
-    """Does the method read ``self.<guard>`` anywhere (staleness test)?"""
-    for node in ast.walk(func):
-        if _self_attr(node) == guard and isinstance(node, ast.Attribute):
-            if isinstance(node.ctx, ast.Load):
-                return True
-    return False
-
-
-def _has_none_guard(func: ast.AST) -> bool:
-    """Does the method contain an ``is None`` / ``is not None`` test?"""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Compare) and any(
-            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
-        ):
-            comparands = [node.left, *node.comparators]
-            if any(
-                isinstance(c, ast.Constant) and c.value is None for c in comparands
-            ):
-                return True
-    return False
-
-
 # -- ST303: stripe-minting arithmetic ------------------------------------------
 
 
@@ -634,92 +529,64 @@ def _check_store(spec: StoreSpec, tree: ast.Module, rel: str) -> list[Finding]:
                 )
             )
 
-    # -- version counters (ST300 missing bump, ST304 rogue bump) --
-    for vrule in spec.versions:
-        check_attr(vrule.attr, "version counter")
-        check_named(vrule.bumpers, f"bumpers of {vrule.attr}")
-        for m in sorted(vrule.bumpers):
-            fn = methods.get(m)
-            if fn is not None and vrule.attr not in events[m].writes:
+    # -- versioned stores (ST300) --
+    if spec.mutators:
+        check_named(spec.mutators, "mutators")
+        if "Versioned" not in {_trailing_name(b) for b in cls.bases}:
+            out.append(
+                _finding(
+                    "ST305",
+                    f"{spec.cls} declares mutators but is not Versioned — "
+                    "the spec drifted from the code",
+                    rel,
+                    cls.lineno,
+                )
+            )
+        for m, ev in sorted(events.items()):
+            line = getattr(methods[m], "lineno", None)
+            bumps = "_bump" in ev.reads
+            if m in spec.mutators and not bumps:
                 out.append(
                     _finding(
                         "ST300",
-                        f"{spec.cls}.{m} mutates the store without bumping "
-                        f"version counter {vrule.attr} — stale readers will "
-                        "not notice the mutation",
+                        f"{spec.cls}.{m} changes the row set without "
+                        "calling _bump() — caches derived from the rows "
+                        "will not notice",
                         rel,
-                        getattr(fn, "lineno", None),
+                        line,
                     )
                 )
-        for m, ev in sorted(events.items()):
-            if m in vrule.bumpers or m == "__init__":
-                continue
-            if vrule.attr in ev.writes:
+            elif bumps and m not in spec.mutators:
                 out.append(
                     _finding(
-                        "ST304",
-                        f"{spec.cls}.{m} writes version counter {vrule.attr} "
-                        "outside the blessed bumpers "
-                        f"({', '.join(sorted(vrule.bumpers))})",
+                        "ST300",
+                        f"{spec.cls}.{m} calls _bump() but is not a "
+                        "declared mutator — the version must move only "
+                        "with the row set",
                         rel,
-                        ev.writes[vrule.attr],
+                        line,
+                    )
+                )
+            touched = (set(ev.reads) | set(ev.writes)) & _VERSIONED_ATTRS
+            if touched:
+                out.append(
+                    _finding(
+                        "ST300",
+                        f"{spec.cls}.{m} touches {', '.join(sorted(touched))} "
+                        "directly — go through _bump() / _cached()",
+                        rel,
+                        line,
                     )
                 )
 
-    # -- caches (ST300 missing invalidation, ST301 unguarded/unaudited reads,
-    #    ST304 rogue writes) --
+    # -- caches kept outside a store (ST301 unaudited reads, ST304 rogue
+    #    writes) --
     for crule in spec.caches:
         check_attr(crule.attr, "cached artifact")
-        declared = (
-            crule.invalidators
-            | crule.readers
-            | crule.writers
-            | crule.exempt
-            | {"__init__"}
-        )
-        check_named(
-            crule.invalidators | crule.readers | crule.writers | crule.exempt,
-            f"cache rule for {crule.attr}",
-        )
-        for m in sorted(crule.invalidators):
-            fn = methods.get(m)
-            if fn is not None and crule.attr not in events[m].writes:
-                out.append(
-                    _finding(
-                        "ST300",
-                        f"{spec.cls}.{m} mutates the store without "
-                        f"invalidating cached {crule.attr} — subsequent reads "
-                        "would see a stale artifact",
-                        rel,
-                        getattr(fn, "lineno", None),
-                    )
-                )
-        for m in sorted(crule.readers):
-            fn = methods.get(m)
-            if fn is None:
-                continue
-            guarded = (
-                _mentions_guard(fn, crule.guard)
-                if crule.guard is not None
-                else _has_none_guard(fn)
-            )
-            if not guarded:
-                what = (
-                    f"staleness guard {crule.guard}"
-                    if crule.guard is not None
-                    else "an is-None rebuild guard"
-                )
-                out.append(
-                    _finding(
-                        "ST301",
-                        f"{spec.cls}.{m} reads cached {crule.attr} without "
-                        f"consulting {what}",
-                        rel,
-                        getattr(fn, "lineno", None),
-                    )
-                )
+        declared = crule.readers | crule.writers | crule.exempt
+        check_named(declared, f"cache rule for {crule.attr}")
         for m, ev in sorted(events.items()):
-            if m in declared:
+            if m in declared or m == "__init__":
                 continue
             if crule.attr in ev.writes:
                 out.append(
@@ -739,8 +606,7 @@ def _check_store(spec: StoreSpec, tree: ast.Module, rel: str) -> list[Finding]:
                         "ST301",
                         f"{spec.cls}.{m} reads cached {crule.attr} outside "
                         "the audited readers "
-                        f"({', '.join(sorted(crule.readers))}) — the read is "
-                        "not covered by a staleness guard",
+                        f"({', '.join(sorted(crule.readers))})",
                         rel,
                         line,
                     )
@@ -839,8 +705,9 @@ def _protected_attrs(specs: Sequence[StoreSpec]) -> frozenset[str]:
     for spec in specs:
         attrs.update(r.attr for r in spec.state)
         attrs.update(r.attr for r in spec.caches)
-        attrs.update(r.attr for r in spec.versions)
         attrs.update(r.attr for r in spec.tombstones)
+        if spec.mutators:
+            attrs.update(_VERSIONED_ATTRS)
     # Public id columns are legitimately *read* everywhere and written by
     # sibling value classes (e.g. the wire messages own their own s_ids);
     # the foreign-write scan only polices private names.
@@ -971,25 +838,24 @@ def verify_stores(
 def store_spec_table(specs: Sequence[StoreSpec] = STORE_SPECS) -> str:
     """The store specs as markdown (for docs and ``--store-spec``)."""
     lines = [
-        "| store | state (writers) | caches (guard) | tombstones | version |",
+        "| store | state (writers) | mutators (call _bump) | tombstones "
+        "| caches (readers) |",
         "|---|---|---|---|---|",
     ]
     for spec in specs:
         state = "; ".join(
             f"{r.attr} ({', '.join(sorted(r.writers))})" for r in spec.state
         )
-        caches = "; ".join(
-            f"{r.attr} ({r.guard or 'is-None'})" for r in spec.caches
-        )
         tombs = "; ".join(
             f"{r.attr} ({', '.join(sorted(r.delete_paths))})"
             for r in spec.tombstones
         )
-        versions = "; ".join(
-            f"{r.attr} ({', '.join(sorted(r.bumpers))})" for r in spec.versions
+        caches = "; ".join(
+            f"{r.attr} ({', '.join(sorted(r.readers))})" for r in spec.caches
         )
         lines.append(
-            f"| {spec.cls} | {state or '-'} | {caches or '-'} | "
-            f"{tombs or '-'} | {versions or '-'} |"
+            f"| {spec.cls} | {state or '-'} | "
+            f"{', '.join(sorted(spec.mutators)) or '-'} | {tombs or '-'} | "
+            f"{caches or '-'} |"
         )
     return "\n".join(lines)

@@ -1,10 +1,10 @@
 """Findings, reports, and the allowlist — the common currency of every pass.
 
 Each static-analysis pass (:mod:`repro.analysis.protocol`,
-:mod:`repro.analysis.lint`, the rule gate behind
-:mod:`repro.analysis.preflight`) emits :class:`Finding` records; a run
-collects them into an :class:`AnalysisReport` that renders as text for
-humans or JSON for CI artifacts.
+:mod:`repro.analysis.lint`, :mod:`repro.analysis.dataflow`) emits
+:class:`Finding` records; a run collects them into an
+:class:`AnalysisReport` that renders as text for humans or JSON for CI
+artifacts.
 
 Suppression is explicit and audited: an allowlist file maps
 ``(code, path-glob)`` pairs to a *mandatory* one-line justification —
@@ -106,6 +106,19 @@ def parse_allowlist(text: str, source: str = "<allowlist>") -> list[AllowlistEnt
             )
         entries.append(AllowlistEntry(parts[0], parts[1], justification))
     return entries
+
+
+def default_allowlist_path() -> Path | None:
+    """The repo's ``.analysis-allowlist``, if running from a checkout."""
+    import repro
+
+    if repro.__file__ is None:  # pragma: no cover - namespace packages only
+        return None
+    for parent in Path(repro.__file__).resolve().parents:
+        candidate = parent / ".analysis-allowlist"
+        if candidate.exists():
+            return candidate
+    return None
 
 
 def load_allowlist(path: str | Path | None) -> list[AllowlistEntry]:

@@ -254,37 +254,31 @@ class SanitizedIdGraph(IdGraph):
     def verify(self) -> None:
         """Full (unsampled) sweep over every cached view."""
         n = self._n
-        for positions, (keys, perm, covered) in self._views.items():
-            _check_sorted(
-                self._san_label, "sorted-view-monotonic", keys
-            )
-            _check_permutation(
-                self._san_label, "sorted-view-permutation", perm, covered
-            )
+        for key, view in self._cached_items():
+            if key[0] not in ("view", "tail"):
+                continue
+            kind, positions = key
+            keys, rows, covered = view
+            _check_sorted(self._san_label, "sorted-view-monotonic", keys)
+            if kind == "view":
+                _check_permutation(
+                    self._san_label, "sorted-view-permutation", rows, covered
+                )
             if covered > n:
                 raise SanitizerError(
                     self._san_label,
                     "sorted-view-coverage",
-                    f"view over positions {positions} covers {covered} rows "
-                    f"but the store holds {n}",
+                    f"{kind} over positions {positions} covers {covered} "
+                    f"rows but the store holds {n}",
                 )
-        for positions, (tkeys, rows, covered, vn) in self._tail_views.items():
-            _check_sorted(self._san_label, "sorted-view-monotonic", tkeys)
-            if vn > n or covered > vn:
-                raise SanitizerError(
-                    self._san_label,
-                    "sorted-view-coverage",
-                    f"tail view over positions {positions} claims "
-                    f"(covered={covered}, n={vn}) but the store holds {n}",
-                )
-            if len(rows) and (
-                int(rows.min()) < covered or int(rows.max()) >= vn
+            if kind == "tail" and len(rows) and (
+                int(rows.min()) < covered or int(rows.max()) >= n
             ):
                 raise SanitizerError(
                     self._san_label,
                     "sorted-view-rows",
                     f"tail view over positions {positions} maps outside "
-                    f"[{covered}, {vn})",
+                    f"[{covered}, {n})",
                 )
 
 

@@ -65,7 +65,7 @@ from repro.rdf.dictionary import (
 from repro.rdf.graph import Graph
 from repro.rdf.idquery import IdIndex, join_pattern
 from repro.rdf.idstore import IdGraph
-from repro.rdf.stores import TermView, make_store
+from repro.rdf.stores import make_store, term_graph
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple
 
@@ -154,8 +154,6 @@ class MaterializedKB:
         self._last_load_stats = EngineStats()
         self._last_parallel_run = None
         self._index = IdIndex(self)
-        self._closure_view = TermView()
-        self._base_view = TermView()
 
     # Compatibility: the frozen benchmarks/harness/workloads.py:107 reads
     # `kb._engine._mirror`; the next benchmark PR reads `kb.id_store`, delete then.
@@ -359,13 +357,13 @@ class MaterializedKB:
         next write, after which a fresh access decodes again and a held
         reference keeps showing the old state.  Treat as read-only (the
         cached object is shared between callers)."""
-        return self._closure_view.of(self._dictionary, self._store)
+        return term_graph(self._dictionary, self._store)
 
     @property
     def base_graph(self) -> Graph:
         """The asserted triples as a term :class:`Graph` snapshot (same
         contract as :attr:`graph`); retract through :meth:`apply`."""
-        return self._base_view.of(self._dictionary, self._base)
+        return term_graph(self._dictionary, self._base)
 
     @property
     def last_parallel_run(self):

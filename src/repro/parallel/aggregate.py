@@ -12,7 +12,7 @@ from repro.datalog.engine import EngineStats
 from repro.rdf.dictionary import TermDictionary, encode_rows, lookup_rows
 from repro.rdf.graph import Graph
 from repro.rdf.idstore import IdGraph, concat_columns
-from repro.rdf.stores import TermView
+from repro.rdf.stores import term_graph
 
 if TYPE_CHECKING:
     from repro.parallel.cluster import ClusterSpec
@@ -118,7 +118,6 @@ class RunOutput:
         self.engine_stats = (
             engine_stats if engine_stats is not None else EngineStats())
         self._graph = graph
-        self._view = TermView()
         self._node_outputs: list[Graph] | None = None
 
     @property
@@ -127,7 +126,7 @@ class RunOutput:
         or the graph given at construction)."""
         if self._graph is not None:
             return self._graph
-        return self._view.of(self.dictionary, self.store)
+        return term_graph(self.dictionary, self.store)
 
     @property
     def node_outputs(self) -> list[Graph]:

@@ -201,8 +201,7 @@ class ParallelReasoner:
         self.compiled: CompiledRuleSet = compile_ontology(
             ontology, split_sameas=(approach == "data")
         )
-        if approach == "data":
-            check_data_partitionable(self.compiled.rules)
+        self._check_rules()
         self.policy = policy or GraphPartitioningPolicy(seed=seed)
         self.strategy: Strategy = strategy
         self.comm: CommBackend = comm if comm is not None else InMemoryComm(k)
@@ -241,7 +240,11 @@ class ParallelReasoner:
         terms are the bulk of what workers would otherwise mint and ship
         as delta entries), the schema graphs — so the gather mints nothing
         while the workers are resident on it — and any maintenance
-        ``adds`` / ``removes`` the master itself will put on the wire."""
+        ``adds`` / ``removes`` the master itself will put on the wire.
+
+        Under data partitioning the *current* rule set is re-checked for
+        partitionability first (see :meth:`_check_rules`)."""
+        self._check_rules()
         extra = [schema, self.compiled.schema]
         if adds or removes:
             extra += [Graph(adds), Graph(removes)]
@@ -288,22 +291,11 @@ class ParallelReasoner:
             stats.partition_time = watch.elapsed()
         return data_result, rule_result, spec
 
-    def materialize(
-        self, graph: Graph, preflight: str | None = None
-    ) -> ParallelRunResult:
+    def materialize(self, graph: Graph) -> ParallelRunResult:
         """Materialize a KB (mixed schema+instance or instance-only).
-        The input graph is not mutated.
-
-        ``preflight="strict"`` runs the static-analysis gate
-        (:func:`repro.analysis.run_preflight`) before touching the data:
-        rule partitionability (re-checked against the *current* rule set,
-        not the one the constructor saw), protocol conformance of the
-        installed backend, and the concurrency lint — raising a typed
-        :class:`~repro.analysis.PreflightError` on any violation.
-        ``"warn"`` reports the same findings as a warning; the default
-        ``None`` (or ``"off"``) skips the gate.
-        """
-        self._preflight(preflight)
+        The input graph is not mutated.  Under data partitioning the
+        *current* rule set is re-checked for partitionability first
+        (``ValueError`` with atom-level diagnostics)."""
         schema, instance = split_schema(graph)
         stats = RunStats(k=self.k)
         data_result, rule_result, spec = self._plan(instance, schema, stats)
@@ -329,7 +321,6 @@ class ParallelReasoner:
         start_method: str | None = None,
         delivery: str = "fifo",
         faults=None,
-        preflight: str | None = None,
     ) -> AsyncRunResult:
         """Materialize via the supervised round-free runtime instead of
         BSP rounds, on the same :class:`~repro.parallel.cluster.
@@ -345,9 +336,9 @@ class ParallelReasoner:
         reasoner's ``supervision`` policy decides whether a worker
         failure aborts the run (typed
         :class:`~repro.parallel.supervisor.WorkerFailure`) or triggers
-        ledger-replay recovery on a survivor.
+        ledger-replay recovery on a survivor.  The rule gate of
+        :meth:`materialize` runs first.
         """
-        self._preflight(preflight)
         schema, instance = split_schema(graph)
         _data, _rules, spec = self._plan(instance, schema)
         if multiprocess:
@@ -390,15 +381,11 @@ class ParallelReasoner:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _preflight(self, mode: str | None) -> None:
-        """Run the static-analysis gate when requested (see
-        :meth:`materialize`).  Checks the *current* ``self.compiled.rules``
-        — a rule set swapped after construction is exactly the drift the
-        run-time gate exists to catch."""
-        if mode is None or mode == "off":
-            return
-        from repro.analysis import run_preflight
-
-        run_preflight(
-            rules=self.compiled.rules, mode=mode, approach=self.approach
-        )
+    def _check_rules(self) -> None:
+        """The data-partitioning soundness gate over the *current*
+        ``self.compiled.rules``: a rule set swapped after construction
+        would otherwise yield a silently wrong fixpoint.  Rule
+        partitioning replicates the data, so multi-join rules are sound
+        there."""
+        if self.approach == "data":
+            check_data_partitionable(self.compiled.rules)

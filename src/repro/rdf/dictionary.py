@@ -40,13 +40,14 @@ import numpy as np
 
 from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
+from repro.rdf.versioned import Versioned
 
 #: Kind byte per term, matching the sort ranks in :mod:`repro.rdf.terms`:
 #: 0 = URI, 1 = BNode, 2 = Literal.  Resources are kinds <= 1.
 _KIND_LITERAL = 2
 
 
-class TermDictionary:
+class TermDictionary(Versioned):
     """Bidirectional term <-> dense-int mapping.
 
     >>> from repro.rdf.terms import URI
@@ -57,9 +58,10 @@ class TermDictionary:
     URI('ex:a')
     """
 
-    __slots__ = ("_to_id", "_terms", "_kinds", "_kind_arr")
+    __slots__ = ("_to_id", "_terms", "_kinds")
 
     def __init__(self) -> None:
+        super().__init__()
         self._to_id: dict[Term, int] = {}
         self._terms: list[Term] = []
         #: Parallel to ``_terms``: the term-kind byte (0 URI / 1 BNode /
@@ -67,7 +69,6 @@ class TermDictionary:
         #: can test resource-ness (kind <= 1) or URI-ness (kind == 0) of
         #: whole id columns without a Python loop.
         self._kinds: list[int] = []
-        self._kind_arr: np.ndarray | None = None
 
     def encode(self, term: Term) -> int:
         """Id for ``term``, assigning the next dense id on first sight."""
@@ -77,7 +78,7 @@ class TermDictionary:
             self._to_id[term] = tid
             self._terms.append(term)
             self._kinds.append(term._kind)
-            self._kind_arr = None
+            self._bump()
         return tid
 
     def encode_many(self, terms: Iterable[Term]) -> np.ndarray:
@@ -98,7 +99,7 @@ class TermDictionary:
                 grown = True
             out.append(tid)
         if grown:
-            self._kind_arr = None
+            self._bump()
         return np.asarray(out, dtype=np.int64)
 
     def encode_existing(self, term: Term) -> int:
@@ -118,10 +119,8 @@ class TermDictionary:
         return [terms[i] for i in np.asarray(ids, dtype=np.int64).tolist()]
 
     def _kind_array(self) -> np.ndarray:
-        arr = self._kind_arr
-        if arr is None or len(arr) != len(self._terms):
-            arr = self._kind_arr = np.asarray(self._kinds, dtype=np.int8)
-        return arr
+        return self._cached(
+            "kinds", lambda: np.asarray(self._kinds, dtype=np.int8))
 
     def resource_mask(self, ids: np.ndarray) -> np.ndarray:
         """Boolean array: ``mask[i]`` iff ``ids[i]`` names a URI/BNode.
@@ -347,7 +346,7 @@ class PartitionDictionary:
         return self._base_size + len(self._by_id)
 
 
-class EncodedGraph:
+class EncodedGraph(Versioned):
     """A triple multiset as parallel id arrays plus the dictionary.
 
     ``s_ids``, ``p_ids``, ``o_ids`` are int64 arrays of equal length; row i
@@ -360,8 +359,7 @@ class EncodedGraph:
     cuts — and invalidated by :meth:`append` (the only mutator).
     """
 
-    __slots__ = ("dictionary", "s_ids", "p_ids", "o_ids",
-                 "_resource_ids", "_edges")
+    __slots__ = ("dictionary", "s_ids", "p_ids", "o_ids")
 
     def __init__(
         self,
@@ -372,12 +370,11 @@ class EncodedGraph:
     ) -> None:
         if not (len(s_ids) == len(p_ids) == len(o_ids)):
             raise ValueError("id columns must have equal length")
+        super().__init__()
         self.dictionary = dictionary
         self.s_ids = s_ids
         self.p_ids = p_ids
         self.o_ids = o_ids
-        self._resource_ids: np.ndarray | None = None
-        self._edges: np.ndarray | None = None
 
     @classmethod
     def from_triples(
@@ -424,8 +421,7 @@ class EncodedGraph:
             [self.p_ids, np.asarray(p_list, dtype=np.int64)])
         self.o_ids = np.concatenate(
             [self.o_ids, np.asarray(o_list, dtype=np.int64)])
-        self._resource_ids = None
-        self._edges = None
+        self._bump()
         return len(s_list)
 
     def triple(self, index: int) -> Triple:
@@ -444,21 +440,17 @@ class EncodedGraph:
         """Sorted unique ids of resource nodes (subjects, plus objects that
         are URIs/BNodes) — the vertex set for partitioning.  Cached until
         :meth:`append`."""
-        cached = self._resource_ids
-        if cached is None:
+        def build() -> np.ndarray:
             mask = self.dictionary.resource_mask(self.o_ids)
-            cached = self._resource_ids = np.union1d(
-                self.s_ids, self.o_ids[mask])
-        return cached
+            return np.union1d(self.s_ids, self.o_ids[mask])
+        return self._cached("resource_ids", build)
 
     def edges(self) -> np.ndarray:
         """(m, 2) array of (subject_id, object_id) rows for triples whose
         object is a resource — the edge list of the RDF graph in the paper's
         partitioning model.  Self-loops are kept (they don't affect cuts).
         Cached until :meth:`append`."""
-        cached = self._edges
-        if cached is None:
+        def build() -> np.ndarray:
             mask = self.dictionary.resource_mask(self.o_ids)
-            cached = self._edges = np.stack(
-                [self.s_ids[mask], self.o_ids[mask]], axis=1)
-        return cached
+            return np.stack([self.s_ids[mask], self.o_ids[mask]], axis=1)
+        return self._cached("edges", build)

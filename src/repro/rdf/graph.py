@@ -31,11 +31,12 @@ from typing import Iterable, Iterator
 
 from repro.rdf.terms import Term, Variable, is_resource
 from repro.rdf.triple import Triple
+from repro.rdf.versioned import Versioned
 
 _MISSING = object()
 
 
-class Graph:
+class Graph(Versioned):
     """A set of ground triples with SPO/POS/OSP indexes.
 
     >>> from repro.rdf.terms import URI
@@ -47,24 +48,16 @@ class Graph:
     URI('ex:b')
     """
 
-    __slots__ = ("_spo", "_pos", "_osp", "_size", "_version")
+    __slots__ = ("_spo", "_pos", "_osp", "_size")
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
+        super().__init__()
         self._spo: dict[Term, dict[Term, set[Term]]] = {}
         self._pos: dict[Term, dict[Term, set[Term]]] = {}
         self._osp: dict[Term, dict[Term, set[Term]]] = {}
         self._size = 0
-        self._version = 0
         for t in triples:
             self.add(t)
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped on every successful add/discard (and on
-        clear).  Lets mirror structures (:class:`~repro.rdf.idquery.IdIndex`'s
-        id-encoded copy) detect external modification in O(1) instead of
-        re-scanning the store."""
-        return self._version
 
     # -- mutation ---------------------------------------------------------
 
@@ -85,7 +78,7 @@ class Graph:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._size += 1
-        self._version += 1
+        self._bump()
         return True
 
     def add_spo(self, s: Term, p: Term, o: Term) -> bool:
@@ -104,9 +97,8 @@ class Graph:
         """Remove; returns True iff the triple was present.
 
         All three SPO/POS/OSP indexes observe the removal and the
-        version counter bumps, so mirror structures keyed on
-        :attr:`version` (:class:`~repro.rdf.idquery.IdIndex`'s mirror) can
-        never answer from a stale copy after a deletion.
+        version moves, so nothing cached on the graph (the id mirror
+        :class:`~repro.rdf.idquery.IdIndex` queries) outlives it.
         """
         if not isinstance(triple, Triple):
             raise TypeError(f"expected Triple, got {type(triple).__name__}")
@@ -137,15 +129,17 @@ class Graph:
             if not sp:
                 del self._osp[o]
         self._size -= 1
-        self._version += 1
+        self._bump(rewrite=True)
         return True
 
     def clear(self) -> None:
+        if not self._size:
+            return
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
         self._size = 0
-        self._version += 1
+        self._bump(rewrite=True)
 
     # -- queries ----------------------------------------------------------
 

@@ -35,10 +35,10 @@ pair.  Over an owner that already lives in id space
 (:class:`~repro.owl.kb.MaterializedKB`) it answers from the owner's own
 live pair — nothing is copied and nothing is rebuilt after a write.  From
 term land it bridges: a cached id-encoded mirror of a
-:class:`~repro.rdf.graph.Graph`, keyed on the graph's version counter and
-rebuilt only when the graph actually changed — the contract the ST300
-dataflow verifier checks declaratively (see
-:mod:`repro.analysis.dataflow`).
+:class:`~repro.rdf.graph.Graph`, cached on the graph itself against its
+version (:class:`~repro.rdf.versioned.Versioned`) and rebuilt only when
+the graph actually changed — so every index over one graph shares one
+mirror.
 """
 
 from __future__ import annotations
@@ -307,11 +307,11 @@ class IdIndex:
     owner's own live ``(dictionary, id_store)``: no second dictionary,
     no copy, nothing to rebuild after a write.
 
-    Given a :class:`Graph`, the index keeps a mirror — a private
+    Given a :class:`Graph`, the index reads a mirror — a private
     :class:`TermDictionary` plus an id store holding the encoded rows —
-    built lazily and keyed on the graph's monotone
-    :attr:`~repro.rdf.graph.Graph.version` counter: queries between graph
-    mutations reuse it, the first query after a mutation rebuilds.
+    cached on the graph against its version: queries between graph
+    mutations (through any index over that graph) reuse it, the first
+    query after a mutation rebuilds.
     ``store="run"`` mirrors into a :class:`RunStore` instead of the dense
     :class:`IdGraph` (same probe surface, compressed runs).
     """
@@ -331,10 +331,6 @@ class IdIndex:
         self._source = source
         self._store_kind = store
         self._ordering = ordering
-        #: Graph version the mirror was built at; compared against the
-        #: live graph on every read (the cache's staleness guard).
-        self._key: int | None = None
-        self._mirror: tuple[TermDictionary, IdGraph | RunStore] | None = None
 
     def current(self) -> tuple[TermDictionary, IdGraph | RunStore]:
         """The up-to-date ``(dictionary, store)``: the owner's live pair,
@@ -342,15 +338,16 @@ class IdIndex:
         graph = self._source
         if not isinstance(graph, Graph):
             return graph.dictionary, graph.id_store
-        key = graph.version
-        if self._mirror is None or self._key != key:
+        kind = self._store_kind
+
+        def build() -> tuple[TermDictionary, IdGraph | RunStore]:
             dictionary = TermDictionary()
-            mirror_store: IdGraph | RunStore = (
-                RunStore() if self._store_kind == "run" else IdGraph())
-            mirror_store.add_rows(*encode_rows(dictionary, graph.spo_items()))
-            self._mirror = (dictionary, mirror_store)
-            self._key = key
-        return self._mirror
+            store: IdGraph | RunStore = (
+                RunStore() if kind == "run" else IdGraph())
+            store.add_rows(*encode_rows(dictionary, graph.spo_items()))
+            return dictionary, store
+
+        return graph._cached(("id_mirror", kind), build)
 
     def query(self, query: BGPQuery | Sequence[Atom]) -> IdBGPQuery:
         """An :class:`IdBGPQuery` bound to the current dictionary (for a
@@ -388,6 +385,4 @@ class IdIndex:
         source = self._source
         if not isinstance(source, Graph):
             return f"<IdIndex over the live store of {source!r}>"
-        built = "stale" if self._key != source.version else "fresh"
-        return (f"<IdIndex over {len(source)} triples "
-                f"({self._store_kind}, {built})>")
+        return f"<IdIndex over {len(source)} triples ({self._store_kind})>"

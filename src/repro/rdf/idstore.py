@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.rdf.versioned import Versioned
+
 #: Growth factor for the amortized column buffers.
 _GROWTH = 2
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -114,54 +116,38 @@ def concat_columns(
     )
 
 
-class IdGraph:
+class IdGraph(Versioned):
     """A set of id-encoded triples as growable int64 columns.
 
     Rows are unique (set semantics, like :class:`repro.rdf.graph.Graph`);
     :meth:`add_rows` performs the vectorized dedup.  The store never
     inspects ids — term semantics (resource-ness, decode) live entirely in
     the dictionary layer.
+
+    Sorted views are :meth:`~repro.rdf.versioned.Versioned._cached`
+    across appends: a deletion (a rewrite) makes every view stale, an
+    append leaves it valid over the rows it covers.
     """
 
-    __slots__ = ("_s", "_p", "_o", "_n", "_views", "_tail_views",
-                 "_tail_threshold", "_version")
+    __slots__ = ("_s", "_p", "_o", "_n", "_tail_threshold")
 
     def __init__(
         self, capacity: int = 0, tail_threshold: int | None = None
     ) -> None:
+        super().__init__()
         cap = max(capacity, 0)
         self._s = np.empty(cap, dtype=np.int64)
         self._p = np.empty(cap, dtype=np.int64)
         self._o = np.empty(cap, dtype=np.int64)
         self._n = 0
-        #: position-subset -> (sorted keys, permutation to row numbers,
-        #: rows covered).  Rows past ``covered`` are the pending tail.
-        self._views: dict[
-            tuple[int, ...], tuple[np.ndarray, np.ndarray, int]
-        ] = {}
-        #: position-subset -> (sorted tail keys, global row numbers,
-        #: covered, n) — valid only while (covered, n) match the main view.
-        self._tail_views: dict[
-            tuple[int, ...], tuple[np.ndarray, np.ndarray, int, int]
-        ] = {}
         #: Pending-tail size past which a probe rebuilds the full view
         #: instead of tail-probing; ``None`` = adaptive (a quarter of the
         #: store), ``0`` = always rebuild (the pre-tail-probing behavior,
         #: kept for the ablation microbench).
         self._tail_threshold = tail_threshold
-        #: Monotone content version: bumped whenever the row set actually
-        #: changes.  Anything derived from the rows (result caches, query
-        #: mirrors) keys on this and is thereby invalidated by mutation.
-        self._version = 0
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def version(self) -> int:
-        """Monotone counter distinguishing row-set states (caches key on
-        it, mirroring :attr:`repro.rdf.graph.Graph.version`)."""
-        return self._version
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live ``(s, p, o)`` columns (views, not copies — treat as
@@ -210,7 +196,7 @@ class IdGraph:
             self._p[n: n + len(p)] = p
             self._o[n: n + len(o)] = o
             self._n = n + len(s)
-            self._version += 1
+            self._bump()
         return s, p, o
 
     def delete_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> int:
@@ -219,9 +205,9 @@ class IdGraph:
         Returns the number of rows actually removed.  Deletion is a
         validity-mask compaction: the matching rows are located through the
         canonical (s, p, o) view, a keep mask over the live rows is built,
-        and the column buffers are rewritten densely in one pass.  Every
-        cached sorted view is dropped (row numbers shift), so the next
-        probe after a deletion pays one re-sort — the DRed maintenance
+        and the column buffers are rewritten densely in one pass.  It is a
+        rewrite: every cached sorted view goes stale (row numbers shift),
+        so the next probe after a deletion pays one re-sort — the DRed maintenance
         loop deletes once per update batch, not per row, so this amortizes
         the same way the append path does.
         """
@@ -238,9 +224,7 @@ class IdGraph:
             buf = getattr(self, name)
             buf[: n - len(rows)] = buf[:n][keep]
         self._n = n - len(rows)
-        self._views.clear()
-        self._tail_views.clear()
-        self._version += 1
+        self._bump(rewrite=True)
         return len(rows)
 
     # -- queries ----------------------------------------------------------
@@ -266,11 +250,21 @@ class IdGraph:
     def _rebuild(
         self, positions: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray, int]:
+        """A main view over every current row: ``(sorted keys,
+        permutation to row numbers, rows covered)``."""
         keys = pack_columns(tuple(self.column(pos) for pos in positions))
         perm = np.argsort(keys, kind="stable")
-        cached = self._views[positions] = (keys[perm], perm, self._n)
-        self._tail_views.pop(positions, None)
-        return cached
+        return keys[perm], perm, self._n
+
+    def _main_view(
+        self, positions: tuple[int, ...], max_tail: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The cached main view, rebuilt once more than ``max_tail`` rows
+        were appended past the ones it covers."""
+        n = self._n
+        return self._cached(
+            ("view", positions), lambda: self._rebuild(positions),
+            across_appends=True, stale=lambda v: n - v[2] > max_tail)
 
     def _view_parts(
         self, positions: tuple[int, ...]
@@ -280,28 +274,22 @@ class IdGraph:
         tail-only sorted segment; a tail past the rebuild threshold folds
         into a fresh full view instead."""
         n = self._n
-        cached = self._views.get(positions)
-        if cached is None:
-            keys, perm, _cov = self._rebuild(positions)
-            return [(keys, perm)]
-        keys, perm, covered = cached
-        tail = n - covered
-        if tail == 0:
-            return [(keys, perm)]
         threshold = self._tail_threshold
         if threshold is None:
             threshold = max(1024, n // 4)
-        if tail > threshold:
-            keys, perm, _cov = self._rebuild(positions)
+        keys, perm, covered = self._main_view(positions, threshold)
+        if covered == n:
             return [(keys, perm)]
-        tail_cached = self._tail_views.get(positions)
-        if tail_cached is None or tail_cached[2] != covered or tail_cached[3] != n:
+
+        def sort_tail() -> tuple[np.ndarray, np.ndarray, int]:
             tkeys = pack_columns(tuple(
                 self.column(pos)[covered:n] for pos in positions))
             tperm = np.argsort(tkeys, kind="stable")
-            tail_cached = self._tail_views[positions] = (
-                tkeys[tperm], tperm + covered, covered, n)
-        return [(keys, perm), (tail_cached[0], tail_cached[1])]
+            return tkeys[tperm], tperm + covered, covered
+
+        tkeys, trows, _cov = self._cached(
+            ("tail", positions), sort_tail, stale=lambda t: t[2] != covered)
+        return [(keys, perm), (tkeys, trows)]
 
     def sorted_view(
         self, positions: tuple[int, ...]
@@ -311,10 +299,8 @@ class IdGraph:
         full-coverage: a view gone stale by appends is rebuilt here (probes
         that tolerate a two-part answer go through :meth:`range_lookup`,
         which tail-probes instead of rebuilding)."""
-        cached = self._views.get(positions)
-        if cached is None or cached[2] != self._n:
-            cached = self._rebuild(positions)
-        return cached[0], cached[1]
+        keys, perm, _cov = self._main_view(positions, 0)
+        return keys, perm
 
     def range_lookup(
         self, positions: tuple[int, ...], query_keys: np.ndarray
@@ -378,10 +364,10 @@ class IdGraph:
         every cached view — the dense baseline the run store's budget
         accounting is compared against."""
         total = self._s.nbytes + self._p.nbytes + self._o.nbytes
-        for keys, perm, _cov in self._views.values():
-            total += keys.nbytes + perm.nbytes
-        for tkeys, tperm, _cov, _n in self._tail_views.values():
-            total += tkeys.nbytes + tperm.nbytes
+        for key, view in self._cached_items():
+            if key[0] in ("view", "tail"):
+                keys, perm, _cov = view
+                total += keys.nbytes + perm.nbytes
         return total
 
     def __repr__(self) -> str:

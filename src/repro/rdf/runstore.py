@@ -105,6 +105,7 @@ from repro.rdf.idstore import (
     member_mask,
     pack_columns,
 )
+from repro.rdf.versioned import Versioned
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -442,14 +443,15 @@ class _Run:
         return self.canonical.n_rows
 
 
-class RunStore:
+class RunStore(Versioned):
     """Memory-budgeted LSM triple store with the :class:`IdGraph`
     probe surface.
 
     Rows are unique (set semantics); :meth:`add_rows` returns the rows
     actually added, unique and key-sorted — the same contract as the
     dense store, which is what keeps the columnar engine's work
-    counters identical over either.
+    counters identical over either.  Its :attr:`version` moves with
+    the logical row set only: seals, merges and spills keep it.
     """
 
     def __init__(
@@ -460,6 +462,7 @@ class RunStore:
         fanout: int = _FANOUT,
         cache_bytes: int | None = None,
     ) -> None:
+        super().__init__()
         self.memory_budget_bytes = memory_budget_bytes
         if tail_rows is None:
             if memory_budget_bytes is None:
@@ -490,21 +493,12 @@ class RunStore:
         self._cache: OrderedDict[_CacheKey, tuple[np.ndarray, ...]] = (
             OrderedDict())
         self._cache_used = 0
-        #: Monotone content version (see :attr:`IdGraph.version`): bumped
-        #: whenever the logical row set changes, never by reorganization
-        #: (seals, merges, spills keep the version).
-        self._version = 0
 
     # -- basic surface ----------------------------------------------------
 
     def __len__(self) -> int:
         return (len(self._tail) + sum(r.n_rows for r in self._runs)
                 - len(self._tombs))
-
-    @property
-    def version(self) -> int:
-        """Monotone counter distinguishing logical row-set states."""
-        return self._version
 
     def __repr__(self) -> str:
         return (f"<RunStore with {len(self)} rows in {len(self._runs)} "
@@ -570,7 +564,7 @@ class RunStore:
         if len(self._tail) >= self.tail_rows:
             self._seal()
         if len(s):
-            self._version += 1
+            self._bump()
         return s, p, o
 
     def delete_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> int:
@@ -596,7 +590,7 @@ class RunStore:
         sealed = ~in_tail
         if sealed.any():
             self._tombs.add_rows(s[sealed], p[sealed], o[sealed])
-        self._version += 1
+        self._bump(rewrite=True)
         return len(s)
 
     def _next_serial(self) -> int:

@@ -1,6 +1,11 @@
 """What sits between an id store and its users: the one store factory
 ("dense or run, sanitized or not") and the decoded term view of a store.
 
+Every store derives from :class:`~repro.rdf.versioned.Versioned`: its
+``version`` moves exactly when its row set does, and anything derived
+from its rows (sorted views, the decoded term view below, a query
+mirror) is cached on the store through ``_cached`` against that version.
+
 Production code builds every id store through :func:`make_store`.  The
 sanitized store subclasses live in :mod:`repro.analysis.sanitize`, a
 verifier package that imports :mod:`repro.datalog`; it is imported here
@@ -75,25 +80,12 @@ def make_store(
     return IdGraph(capacity=capacity)
 
 
-class TermView:
-    """A decoded :class:`Graph` snapshot of one id store, cached against
-    the store's version: reused while the store is unchanged, dropped —
-    not patched — once the version moves (or the store is replaced)."""
-
-    def __init__(self) -> None:
-        #: (store, store version) the snapshot was decoded at; compared
-        #: against the live store on every read (the staleness guard).
-        self._key: tuple[IdGraph | RunStore, int] | None = None
-        self._graph: Graph | None = None
-
-    def of(
-        self,
-        dictionary: TermDictionary | PartitionDictionary,
-        store: IdGraph | RunStore,
-    ) -> Graph:
-        key = self._key
-        if (self._graph is None or key is None or key[0] is not store
-                or key[1] != store.version):
-            self._graph = Graph(decode_rows(dictionary, *store.columns()))
-            self._key = (store, store.version)
-        return self._graph
+def term_graph(
+    dictionary: TermDictionary | PartitionDictionary, store: IdGraph | RunStore
+) -> Graph:
+    """``store`` decoded into a term :class:`Graph` — a snapshot cached on
+    the store until its version moves (then decoded afresh, never
+    patched)."""
+    return store._cached(
+        ("term_graph", dictionary),
+        lambda: Graph(decode_rows(dictionary, *store.columns())))

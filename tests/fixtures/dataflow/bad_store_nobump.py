@@ -1,14 +1,16 @@
-"""ST300 fixture: ``remove`` mutates state but forgets the version bump."""
+"""ST300 fixture: ``remove`` mutates state but forgets ``_bump()``."""
+
+from repro.rdf.versioned import Versioned
 
 
-class TinyStore:
+class TinyStore(Versioned):
     def __init__(self):
+        super().__init__()
         self._rows = []
-        self._version = 0
 
     def add(self, row):
         self._rows.append(row)
-        self._version += 1
+        self._bump()
 
     def remove(self, row):
-        self._rows.remove(row)  # missing: self._version += 1
+        self._rows.remove(row)  # missing: self._bump(rewrite=True)

@@ -1,23 +1,24 @@
-"""ST301 fixture: ``view`` serves the cache without any staleness guard."""
+"""ST300 fixture: ``view`` keeps its own staleness test on ``_version``
+instead of reading through ``_cached``."""
+
+from repro.rdf.versioned import Versioned
 
 
-class TinyCachedStore:
+class TinyCachedStore(Versioned):
     def __init__(self):
+        super().__init__()
         self._rows = []
-        self._n = 0
         self._view_cache = None
+        self._view_at = -1
 
     def add(self, row):
         self._rows.append(row)
-        self._n += 1
-        self._view_cache = None
+        self._bump()
 
     def view(self):
-        # Stale read: never compares the cache against self._n, so a
-        # populated cache survives later add() calls in a refactor that
-        # drops the invalidation line.
-        return self._view_cache
-
-    def rebuild(self):
-        self._view_cache = sorted(self._rows)
+        # A hand-rolled guard: the next refactor that drops it (or keys it
+        # on the wrong counter) serves a stale view.
+        if self._view_at != self._version:
+            self._view_cache = sorted(self._rows)
+            self._view_at = self._version
         return self._view_cache

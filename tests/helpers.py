@@ -26,3 +26,8 @@ def wire_batch(dictionary, sender, dest, round_no, triples):
     delta = tuple((i, dictionary.decode(i)) for i in ids
                   if i >= dictionary.base_size)
     return EncodedBatch(sender, dest, round_no, s, p, o, delta)
+
+
+def decoded(store):
+    """Whether a term-graph snapshot of ``store`` has been decoded."""
+    return any(key[0] == "term_graph" for key, _ in store._cached_items())

@@ -2,32 +2,38 @@
 
 Two layers of coverage:
 
-* **clean tree** — the live sources carry no findings, and the preflight /
-  CLI surfaces include the pass;
+* **clean tree** — the live sources carry no findings, and the CLI
+  surface includes the pass;
 * **drift injection** — every rule is proven to fire by feeding
   :func:`verify_stores` a mutated copy of the real module source (the
   ``sources`` override), re-introducing exactly the defect class the rule
-  exists to catch.  These are the regression tests the issue asks for:
-  deleting an invalidation, bumping nothing, writing tombstones off the
-  blessed path, or renaming a spec'd method must turn the build red.
+  exists to catch: bumping nothing, bumping off the row set, keeping a
+  hand-rolled staleness test, writing tombstones off the blessed path, or
+  renaming a spec'd method must turn the build red.  Mutations no static
+  rule can see — a deletion that is not marked as a rewrite, a weakened
+  rebuild policy — are loaded as code and must fail a behavioural check
+  against a Python set.
 """
 
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from repro.analysis.dataflow import (
     STORE_SPECS,
     STRIPE_RULES,
-    CacheRule,
     StateRule,
     StoreSpec,
-    VersionRule,
     store_spec_table,
     verify_stores,
 )
 from repro.analysis.protocol import module_source
+from repro.rdf.idstore import IdGraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "dataflow"
@@ -50,58 +56,146 @@ def test_every_spec_names_a_real_class():
         assert spec.cls in module_source(spec.module)
 
 
-# -- drift injection: ST300 (mutation without invalidation/bump) --------------
-
-
-def test_st300_removed_cache_invalidation_is_caught():
-    ids = module_source("repro.rdf.idstore")
-    drifted = ids.replace(
-        "        self._views.clear()\n        self._tail_views.clear()\n", ""
-    )
-    assert drifted != ids
-    findings = verify_stores(sources={"repro.rdf.idstore": drifted})
-    assert "ST300" in codes(findings)
-    assert any("delete_rows" in f.message for f in findings)
+# -- drift injection: ST300 (a versioned store's bump discipline) -----------
 
 
 def test_st300_removed_version_bump_is_caught():
     g = module_source("repro.rdf.graph")
     drifted = g.replace(
-        "        self._size += 1\n        self._version += 1\n",
+        "        self._size += 1\n        self._bump()\n",
         "        self._size += 1\n",
         1,
     )
     assert drifted != g
     findings = verify_stores(sources={"repro.rdf.graph": drifted})
     assert "ST300" in codes(findings)
-    assert any("_version" in f.message for f in findings)
+    assert any("Graph.add" in f.message and "_bump" in f.message
+               for f in findings)
 
 
-# -- drift injection: ST301 (cache read without staleness guard) --------------
-
-
-def test_st301_weakened_guard_is_caught():
-    ids = module_source("repro.rdf.idstore")
-    drifted = ids.replace(
-        "if cached is None or cached[2] != self._n:", "if cached is None:"
+def test_st300_bump_off_the_row_set_is_caught():
+    # Seals keep the version: a bump there would miss every cache keyed on
+    # it for nothing (and the serving tier's hit rate with it).
+    runs = module_source("repro.rdf.runstore")
+    drifted = runs.replace(
+        "        self.seals += 1\n",
+        "        self.seals += 1\n        self._bump()\n",
+        1,
     )
-    assert drifted != ids
-    findings = verify_stores(sources={"repro.rdf.idstore": drifted})
-    assert "ST301" in codes(findings)
+    assert drifted != runs
+    findings = verify_stores(sources={"repro.rdf.runstore": drifted})
+    assert "ST300" in codes(findings)
+    assert any("_seal" in f.message for f in findings)
 
 
-def test_st301_undeclared_cache_reader_is_caught():
+def test_st300_direct_cache_read_is_caught():
     ids = module_source("repro.rdf.idstore")
     drifted = ids.replace(
         "    def memory_bytes",
-        "    def peek(self):\n        return self._views\n\n"
+        "    def peek(self):\n        return self._derived\n\n"
         "    def memory_bytes",
         1,
     )
     assert drifted != ids
     findings = verify_stores(sources={"repro.rdf.idstore": drifted})
-    assert "ST301" in codes(findings)
+    assert "ST300" in codes(findings)
     assert any("peek" in f.message for f in findings)
+
+
+# -- drift injection: ST301 (the one cache outside a store) -------------------
+
+
+def test_st301_undeclared_cache_reader_is_caught():
+    server = module_source("repro.serving.server")
+    drifted = server.replace(
+        "    @property\n    def hit_rate",
+        "    def peek(self):\n        return self._entries\n\n"
+        "    @property\n    def hit_rate",
+        1,
+    )
+    assert drifted != server
+    findings = verify_stores(sources={"repro.serving.server": drifted})
+    assert codes(findings) == ["ST301"]
+    assert any("peek" in f.message for f in findings)
+
+
+# -- mutations only behaviour can catch ----------------------------------------
+
+
+def _mutant(module: str, old: str, new: str) -> types.ModuleType:
+    """``module`` with one source edit, loaded as a fresh module."""
+    source = module_source(module)
+    drifted = source.replace(old, new, 1)
+    assert drifted != source
+    mod = types.ModuleType(module)
+    exec(compile(drifted, f"<mutant {module}>", "exec"), mod.__dict__)
+    return mod
+
+
+def _store_disagrees(cls) -> bool:
+    """Append, probe, delete, re-probe one store; True when any read
+    disagrees with a Python set of the same rows."""
+    rng = np.random.default_rng(7)
+    store = cls(tail_threshold=64)
+    model: set[tuple[int, int, int]] = set()
+
+    def cols(rows):
+        arr = np.asarray(sorted(rows), dtype=np.int64).reshape(-1, 3)
+        return arr[:, 0], arr[:, 1], arr[:, 2]
+
+    for step in range(1, 25):
+        size = 60 if step == 1 else int(rng.integers(1, 20))
+        batch = {tuple(int(x) for x in row)
+                 for row in rng.integers(0, 40, size=(size, 3))}
+        if step % 5 == 0:
+            gone = set(sorted(model)[::3])
+            store.delete_rows(*cols(gone))
+            model -= gone
+        else:
+            store.add_rows(*cols(batch))
+            model |= batch
+        probe = sorted(model | batch)
+        want = np.array([row in model for row in probe])
+        if not np.array_equal(store.contains_rows(*cols(probe)), want):
+            return True
+        if step % 4 == 0:
+            keys, _perm = store.sorted_view((0, 1, 2))
+            if len(keys) != len(model):
+                return True
+    return False
+
+
+def test_live_idgraph_agrees_with_the_set_model():
+    assert not _store_disagrees(IdGraph)
+
+
+def test_st300_removed_cache_invalidation_is_caught():
+    # A deletion bumped as a plain append leaves the views alive across it.
+    mod = _mutant("repro.rdf.idstore",
+                  "self._bump(rewrite=True)", "self._bump()")
+    assert _store_disagrees(mod.IdGraph)
+
+
+WEAKENED_STALENESS = {
+    # sorted_view serves a view that no longer covers every row.
+    "coverage": ("repro.rdf.idstore",
+                 "stale=lambda v: n - v[2] > max_tail", "stale=None"),
+    # _cached stops comparing the version an entry was built at.
+    "version": ("repro.rdf.versioned",
+                "or not (across_appends or entry[0] == self._version)", ""),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(WEAKENED_STALENESS))
+def test_weakened_staleness_check_is_caught(mutation):
+    module, old, new = WEAKENED_STALENESS[mutation]
+    mod = _mutant(module, old, new)
+    if module == "repro.rdf.versioned":
+        cls = type("MutantIdGraph", (IdGraph,),
+                   {"__slots__": (), "_cached": mod.Versioned._cached})
+    else:
+        cls = mod.IdGraph
+    assert _store_disagrees(cls)
 
 
 # -- drift injection: ST302 (tombstone write off the blessed path) ------------
@@ -193,6 +287,14 @@ def test_st305_renamed_method_fails_loudly():
     assert "ST305" in codes(findings)
 
 
+def test_st305_store_that_is_not_versioned_fails_loudly():
+    ids = module_source("repro.rdf.idstore")
+    drifted = ids.replace("class IdGraph(Versioned):", "class IdGraph:")
+    assert drifted != ids
+    findings = verify_stores(sources={"repro.rdf.idstore": drifted})
+    assert "ST305" in codes(findings)
+
+
 def test_st305_unparseable_module_fails_loudly():
     findings = verify_stores(sources={"repro.rdf.idstore": "def broken(:\n"})
     assert codes(findings) == ["ST305"]
@@ -206,7 +308,7 @@ def _fixture_spec_nobump():
         module="tests.fixtures.dataflow.bad_store_nobump",
         cls="TinyStore",
         state=(StateRule("_rows", frozenset({"add", "remove"})),),
-        versions=(VersionRule("_version", frozenset({"add", "remove"})),),
+        mutators=frozenset({"add", "remove"}),
     )
 
 
@@ -215,14 +317,9 @@ def _fixture_spec_staleread():
         module="tests.fixtures.dataflow.bad_store_staleread",
         cls="TinyCachedStore",
         state=(StateRule("_rows", frozenset({"add"})),
-               StateRule("_n", frozenset({"add"}))),
-        caches=(CacheRule(
-            attr="_view_cache",
-            invalidators=frozenset({"add"}),
-            readers=frozenset({"view"}),
-            guard="_n",
-            writers=frozenset({"add", "rebuild"}),
-        ),),
+               StateRule("_view_cache", frozenset({"view"})),
+               StateRule("_view_at", frozenset({"view"}))),
+        mutators=frozenset({"add"}),
     )
 
 
@@ -235,17 +332,18 @@ def _verify_fixture(spec, filename):
 
 def test_fixture_store_missing_bump_flags_st300():
     findings = _verify_fixture(_fixture_spec_nobump(), "bad_store_nobump.py")
-    assert "ST300" in codes(findings)
-    assert any("remove" in f.message and "_version" in f.message
+    assert codes(findings) == ["ST300"]
+    assert any("remove" in f.message and "_bump" in f.message
                for f in findings)
 
 
-def test_fixture_store_stale_read_flags_st301():
+def test_fixture_store_stale_read_flags_st300():
     findings = _verify_fixture(
         _fixture_spec_staleread(), "bad_store_staleread.py"
     )
-    assert "ST301" in codes(findings)
-    assert any("view" in f.message for f in findings)
+    assert codes(findings) == ["ST300"]
+    assert any("view" in f.message and "_version" in f.message
+               for f in findings)
 
 
 # -- surfaces: spec table and the CLI -----------------------------------------

@@ -19,6 +19,7 @@ from repro.owl.vocabulary import OWL, RDF, RDFS
 from repro.rdf import Graph, Triple, URI
 from repro.rdf.runstore import RunStore
 from repro.rdf.terms import Variable
+from tests.helpers import decoded
 
 X, Y = Variable("x"), Variable("y")
 PART_OF = URI("ex:partOf")
@@ -191,7 +192,7 @@ def test_parallel_loaded_kb_maintains_like_a_serial_one(config, backend):
     # Rows in, rows kept: the load never decoded the run's term union, and
     # took the ids into its own dictionary (the workers stay on theirs).
     run = parallel.last_parallel_run
-    assert run._view._graph is None
+    assert not decoded(run.store)
     assert parallel.dictionary is not run.dictionary
     serial = MaterializedKB(_tbox(), **config)
     serial.bulk_load(data)

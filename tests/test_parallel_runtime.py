@@ -17,7 +17,7 @@ from repro.parallel import (
 from repro.partitioning.policies import HashPartitioningPolicy
 from repro.rdf import Graph, Triple, URI
 
-from tests.helpers import stripes, wire_batch
+from tests.helpers import decoded, stripes, wire_batch
 
 
 def u(name):
@@ -154,7 +154,7 @@ class TestParallelReasonerDriver:
         for until it is read, and then it is the old term union."""
         pr = ParallelReasoner(tbox, k=2, approach="data")
         result = pr.materialize(chain_data)
-        assert result._view._graph is None and result._node_outputs is None
+        assert not decoded(result.store) and result._node_outputs is None
         old_union = Graph(pr.compiled.schema)
         for worker in result.workers:
             old_union.update(iter(worker.output_graph()))

@@ -55,12 +55,18 @@ def test_sanitized_idgraph_clean_path_matches_plain():
     san.verify()
 
 
+def _corrupt_view(g, edit):
+    """Replace the cached (s, p, o) view by ``edit(keys, perm, covered)``."""
+    key = ("view", (0, 1, 2))
+    stamp, view = g._derived[key]
+    g._derived[key] = (stamp, edit(*view))
+
+
 def test_sanitized_idgraph_catches_corrupted_sorted_view():
     g = SanitizedIdGraph(label="mirror", sample_rate=1.0)
     g.add_rows(*_cols(ROWS))
     g.sorted_view((0, 1, 2))  # populate the cache
-    keys, perm, covered = g._views[(0, 1, 2)]
-    g._views[(0, 1, 2)] = (keys[::-1].copy(), perm, covered)
+    _corrupt_view(g, lambda keys, perm, cov: (keys[::-1].copy(), perm, cov))
     with pytest.raises(SanitizerError) as exc_info:
         g.verify()
     err = exc_info.value
@@ -73,10 +79,13 @@ def test_sanitized_idgraph_catches_corrupted_permutation():
     g = SanitizedIdGraph(label="mirror", sample_rate=1.0)
     g.add_rows(*_cols(ROWS))
     g.sorted_view((0, 1, 2))
-    keys, perm, covered = g._views[(0, 1, 2)]
-    bad = perm.copy()
-    bad[0] = bad[1]  # duplicate entry: no longer a bijection
-    g._views[(0, 1, 2)] = (keys, bad, covered)
+
+    def duplicate_entry(keys, perm, cov):  # no longer a bijection
+        bad = perm.copy()
+        bad[0] = bad[1]
+        return keys, bad, cov
+
+    _corrupt_view(g, duplicate_entry)
     with pytest.raises(SanitizerError) as exc_info:
         g.verify()
     assert exc_info.value.invariant == "sorted-view-permutation"
@@ -86,8 +95,7 @@ def test_sanitized_idgraph_catches_coverage_overrun():
     g = SanitizedIdGraph(label="mirror", sample_rate=1.0)
     g.add_rows(*_cols(ROWS))
     g.sorted_view((0, 1, 2))
-    keys, perm, covered = g._views[(0, 1, 2)]
-    g._views[(0, 1, 2)] = (keys, perm, covered + 5)
+    _corrupt_view(g, lambda keys, perm, cov: (keys, perm, cov + 5))
     with pytest.raises(SanitizerError) as exc_info:
         g.verify()
     assert exc_info.value.invariant in (

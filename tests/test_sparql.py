@@ -5,7 +5,7 @@ import pytest
 from repro.datasets import LUBM
 from repro.datasets.lubm_queries import LUBM_QUERIES, run_all
 from repro.owl import MaterializedKB
-from repro.rdf import Graph, Literal, URI, parse_sparql, run_sparql
+from repro.rdf import Graph, Literal, URI, idquery, parse_sparql, run_sparql
 from repro.rdf.sparql import SparqlParseError
 from repro.rdf.turtle import RDF_TYPE
 
@@ -154,6 +154,21 @@ class TestExecution:
     def test_literal_constant(self, graph):
         rows = run_sparql(graph, P + 'SELECT ?x WHERE { ?x ex:age "42" . }')
         assert rows == [(u("alice"),)]
+
+
+    def test_unchanged_graph_is_encoded_once(self, graph, monkeypatch):
+        encodes = []
+        encode_rows = idquery.encode_rows
+        monkeypatch.setattr(idquery, "encode_rows", lambda d, rows: (
+            encodes.append(1), encode_rows(d, rows))[1])
+        q = parse_sparql(P + "SELECT ?x WHERE { ?x a ex:Person . }")
+        first = q.select(graph)
+        assert q.select(graph) == first and q.execute(graph)
+        assert q.ask(graph) and len(encodes) == 1
+        # A write moves the graph's version: the next call re-encodes.
+        graph.add_spo(u("carol"), RDF_TYPE, u("Person"))
+        assert (u("carol"),) in q.select(graph)
+        assert len(encodes) == 2
 
 
 class TestLUBMQueries:

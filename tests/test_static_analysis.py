@@ -8,15 +8,16 @@ Three layers:
   deliberately re-introducing each PR-3 bug class (untimed ``Queue.get``
   in ``parallel/``, a deleted message handler, a stripped
   ``Atom.__reduce__``) must make the corresponding pass fail;
-* the preflight gate — ``materialize(..., preflight="strict")`` rejects
-  non-partitionable rule sets and protocol-spec drift with typed
-  diagnostics.
+* the rule gate on the run path — every data-partitioned ``materialize*``
+  call rejects a non-partitionable rule set with atom-level diagnostics
+  (the static passes themselves run here and in ``python -m
+  repro.analysis``, never on the run path).
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -29,18 +30,15 @@ from repro.analysis import (
     HandlerSpec,
     LintConfig,
     MessageSpec,
-    PreflightError,
-    PreflightWarning,
     ProtocolSpec,
+    check_data_partitionable,
     check_spawn_safety,
     lint_paths,
     parse_allowlist,
     run_all,
-    run_preflight,
     spec_table,
     verify_protocol,
 )
-from repro.analysis import preflight as preflight_mod
 from repro.analysis.protocol import module_source
 from repro.datalog.parser import parse_rules
 from repro.owl.vocabulary import RDF, RDFS
@@ -247,52 +245,15 @@ def test_allowlist_suppresses_and_audits():
     assert report.to_dict()["suppressed"][0]["justification"] == "fixture"
 
 
-# -- the preflight gate -------------------------------------------------------
+# -- the rule gate on the run path ------------------------------------------
 
 
-def test_preflight_clean_repo_passes():
-    report = run_preflight()
-    assert report.ok and set(report.passes) == {"protocol", "lint", "dataflow"}
-
-
-def test_preflight_strict_rejects_multi_join_rules():
-    rules = parse_rules(MULTI_JOIN_RULES)
-    with pytest.raises(PreflightError) as exc_info:
-        run_preflight(rules=rules, mode="strict")
-    err = exc_info.value
-    assert err.codes == ("RULES201",)
-    assert err.report.findings[0].pass_name == "rules"
+def test_rule_gate_rejects_multi_join_rules():
+    with pytest.raises(ValueError) as exc_info:
+        check_data_partitionable(parse_rules(MULTI_JOIN_RULES))
     # The diagnostic names the offending atoms, not just the rule.
-    assert "ex:q" in str(err) and "multi-join" in str(err)
-
-
-def test_preflight_rule_approach_tolerates_multi_join():
-    rules = parse_rules(MULTI_JOIN_RULES)
-    assert run_preflight(rules=rules, approach="rule").ok
-
-
-def test_preflight_warn_mode_warns_instead_of_raising():
-    rules = parse_rules(MULTI_JOIN_RULES)
-    with pytest.warns(PreflightWarning, match="RULES201"):
-        report = run_preflight(rules=rules, mode="warn")
-    assert not report.ok
-
-
-def test_preflight_off_and_bad_mode():
-    rules = parse_rules(MULTI_JOIN_RULES)
-    assert run_preflight(rules=rules, mode="off").ok
-    with pytest.raises(ValueError, match="mode"):
-        run_preflight(mode="loud")
-
-
-def test_preflight_catches_protocol_drift(monkeypatch):
-    source = module_source(_ASYNC).replace(
-        "isinstance(msg, Finish)", "isinstance(msg, Adopt)"
-    )
-    monkeypatch.setattr(preflight_mod, "_SOURCES_OVERRIDE", {_ASYNC: source})
-    with pytest.raises(PreflightError) as exc_info:
-        run_preflight()
-    assert "PROTO010" in exc_info.value.codes
+    assert "ex:q" in str(exc_info.value)
+    assert "multi-join" in str(exc_info.value)
 
 
 def _tiny_kb():
@@ -301,34 +262,43 @@ def _tiny_kb():
     return tbox, data
 
 
-def test_materialize_strict_preflight_passes_on_clean_setup():
+def _swap_in_multi_join_rules(pr):
+    """Add a multi-join rule behind the constructor's gate."""
+    pr.compiled = dataclasses.replace(
+        pr.compiled,
+        rules=[*pr.compiled.rules, *parse_rules(MULTI_JOIN_RULES)])
+
+
+def test_materialize_passes_on_clean_setup():
     tbox, data = _tiny_kb()
-    pr = ParallelReasoner(tbox, k=2)
-    result = pr.materialize(data, preflight="strict")
+    result = ParallelReasoner(tbox, k=2).materialize(data)
     assert Triple(URI("ex:alice"), RDF.type, URI("ex:Person")) in result.graph
 
 
 def test_materialize_strict_rejects_swapped_rule_set():
-    # The constructor's gate saw a clean rule set; preflight re-checks the
+    # The constructor's gate saw a clean rule set; every run re-checks the
     # *current* one, so post-construction drift is caught at run time.
     tbox, data = _tiny_kb()
     pr = ParallelReasoner(tbox, k=2)
-    pr.compiled = types.SimpleNamespace(rules=tuple(parse_rules(MULTI_JOIN_RULES)))
-    with pytest.raises(PreflightError) as exc_info:
-        pr.materialize(data, preflight="strict")
-    assert "RULES201" in exc_info.value.codes
+    _swap_in_multi_join_rules(pr)
+    with pytest.raises(ValueError, match="multi-join"):
+        pr.materialize(data)
 
 
-def test_materialize_async_strict_rejects_protocol_drift(monkeypatch):
+def test_materialize_async_rejects_swapped_rule_set():
     tbox, data = _tiny_kb()
     pr = ParallelReasoner(tbox, k=2)
-    source = module_source(_ASYNC).replace(
-        "msg.epoch < epoch[msg.node_id]", "msg.node_id < 0", 1
-    )
-    monkeypatch.setattr(preflight_mod, "_SOURCES_OVERRIDE", {_ASYNC: source})
-    with pytest.raises(PreflightError) as exc_info:
-        pr.materialize_async(data, preflight="strict")
-    assert "PROTO020" in exc_info.value.codes
+    _swap_in_multi_join_rules(pr)
+    with pytest.raises(ValueError, match="multi-join"):
+        pr.materialize_async(data)
+
+
+def test_rule_approach_tolerates_multi_join():
+    # Rule partitioning replicates the data, so the gate does not apply.
+    tbox, data = _tiny_kb()
+    pr = ParallelReasoner(tbox, k=2, approach="rule")
+    _swap_in_multi_join_rules(pr)
+    assert len(pr.materialize(data).graph) >= len(data)
 
 
 # -- the CLI ------------------------------------------------------------------
