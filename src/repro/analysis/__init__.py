@@ -1,17 +1,20 @@
 """Static analysis for the parallel runtime: one import surface.
 
-Three passes (see DESIGN.md §10 and §14), run by tier-1 and by
+Two passes (see DESIGN.md §10 and §14), run by tier-1 and by
 ``python -m repro.analysis`` (the CI ``analysis`` job), never on the run
 path:
 
-* :mod:`repro.analysis.protocol` — the async control protocol as a
-  declarative spec, statically verified against the backend sources.
 * :mod:`repro.analysis.lint` — the PR-3 concurrency bug classes as AST
   rules plus the behavioral spawn-safety probe.
 * :mod:`repro.analysis.dataflow` — the store-invariant contract
   (ST300-series): every mutator of a versioned store bumps its version,
   tombstone paths, stripe minting.  Its runtime twin is
   :mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=1``).
+
+The round-free runtime's protocol is not checked here: its master and
+worker host are state machines (:mod:`repro.parallel.coordinator`), and
+the test suite's schedule explorer checks them by running them under
+every delivery order up to a bound, with a fault at every delivery.
 
 The one check that does run with every data-partitioned
 ``materialize*`` call is the rule gate,
@@ -53,15 +56,6 @@ from repro.analysis.sanitize import (
     check_ledger,
     check_stripe_disjointness,
 )
-from repro.analysis.protocol import (
-    ASYNC_PROTOCOL,
-    HandlerSpec,
-    LedgerRule,
-    MessageSpec,
-    ProtocolSpec,
-    spec_table,
-    verify_protocol,
-)
 from repro.analysis.report import (
     AllowlistEntry,
     AllowlistError,
@@ -83,20 +77,15 @@ from repro.datalog.analysis import (
 )
 
 __all__ = [
-    "ASYNC_PROTOCOL",
     "AllowlistEntry",
     "AllowlistError",
     "AnalysisReport",
     "CacheRule",
     "DEFAULT_CONFIG",
     "Finding",
-    "HandlerSpec",
     "JoinClass",
-    "LedgerRule",
     "LintConfig",
-    "MessageSpec",
     "PartitionabilityDiagnostic",
-    "ProtocolSpec",
     "STORE_SPECS",
     "STRIPE_RULES",
     "SanitizedIdGraph",
@@ -120,9 +109,7 @@ __all__ = [
     "partitionability_diagnostics",
     "run_all",
     "sanitize_enabled",
-    "spec_table",
     "store_spec_table",
-    "verify_protocol",
     "verify_stores",
 ]
 
@@ -151,8 +138,6 @@ def run_all(
         allowlist_path = default_allowlist_path()
     allowlist = load_allowlist(allowlist_path)
     report = AnalysisReport()
-    report.passes.append("protocol")
-    report.extend(verify_protocol(), allowlist)
     report.passes.append("lint")
     report.extend(lint_paths(paths, DEFAULT_CONFIG, root=root), allowlist)
     report.extend(check_spawn_safety(), allowlist)

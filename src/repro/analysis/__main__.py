@@ -12,14 +12,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis import run_all, spec_table, store_spec_table
+from repro.analysis import run_all, store_spec_table
 from repro.analysis.report import AllowlistError
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Protocol verifier + concurrency lint for the parallel runtime.",
+        description="Concurrency lint + store-invariant verifier for the parallel runtime.",
     )
     parser.add_argument(
         "paths",
@@ -41,20 +41,12 @@ def main(argv: list[str] | None = None) -> int:
         "--output", default=None, help="write the report here as well as stdout"
     )
     parser.add_argument(
-        "--spec",
-        action="store_true",
-        help="print the protocol spec table (markdown) and exit",
-    )
-    parser.add_argument(
         "--store-spec",
         action="store_true",
         help="print the store-invariant spec table (markdown) and exit",
     )
     args = parser.parse_args(argv)
 
-    if args.spec:
-        print(spec_table())
-        return 0
     if args.store_spec:
         print(store_spec_table())
         return 0

@@ -13,9 +13,7 @@ Invalidation is by construction: each store derives from
 through ``_cached`` (stored with the version it was built at, rebuilt on
 a mismatch), and moves its version with ``_bump()``.  What is left to
 verify is written down as data — a :class:`StoreSpec` per store class —
-and checked by a pure-AST dataflow pass over the store sources, the same
-declarative-spec-plus-verifier shape as the protocol pass (PROTO-series)
-in :mod:`repro.analysis.protocol`:
+and checked by a pure-AST dataflow pass over the store sources:
 
 ========  =====================================================================
 ST300     a declared mutator of a versioned store does not call ``_bump()``,
@@ -32,7 +30,7 @@ ST304     direct column/state writes bypassing the mutation API (including
           writes from *other* modules reaching into a store's privates)
 ST305     spec/source drift — a spec-named class, method or attribute no
           longer exists, or a store with mutators is not `Versioned`
-          (fails loudly, like PROTO001)
+          (fails loudly)
 ========  =====================================================================
 
 The pass is deliberately syntactic: it tracks ``self.<attr>`` reads,
@@ -48,13 +46,46 @@ dynamic side.
 from __future__ import annotations
 
 import ast
+import importlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from repro.analysis.protocol import _index_functions, module_source
 from repro.analysis.report import Finding
 
 PASS_NAME = "dataflow"
+
+
+# -- source + AST plumbing -----------------------------------------------------
+
+
+def module_source(name: str, sources: Mapping[str, str] | None = None) -> str:
+    """The module's source text, overridable for drift tests."""
+    if sources is not None and name in sources:
+        return sources[name]
+    mod = importlib.import_module(name)
+    if mod.__file__ is None:  # pragma: no cover - namespace packages only
+        raise FileNotFoundError(f"module {name} has no source file")
+    return Path(mod.__file__).read_text(encoding="utf-8")
+
+
+def _index_functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Map dotted qualnames (``Class.method``, ``outer.inner``) to defs."""
+    index: dict[str, ast.AST] = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{prefix}{child.name}"
+                index[qual] = child
+                visit(child, qual + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return index
 
 
 # -- the spec ------------------------------------------------------------------
@@ -241,7 +272,7 @@ STRIPE_RULES: tuple[StripeRule, ...] = (
         module="repro.parallel.cluster", allowed=_fs("ClusterSpec.worker")
     ),
     StripeRule(module="repro.parallel.async_backend"),
-    StripeRule(module="repro.parallel.mp_backend"),
+    StripeRule(module="repro.parallel.coordinator"),
     StripeRule(module="repro.parallel.hybrid"),
     StripeRule(module="repro.parallel.worker"),
     StripeRule(module="repro.parallel.driver"),
@@ -258,6 +289,7 @@ CONSUMER_MODULES: tuple[str, ...] = (
     "repro.datalog.engine",
     "repro.parallel.worker",
     "repro.parallel.async_backend",
+    "repro.parallel.coordinator",
     "repro.parallel.driver",
     # The distributed query coordinator reads worker stores and gathers
     # their batches; it must never reach into store privates.

@@ -1,7 +1,7 @@
 """Findings, reports, and the allowlist — the common currency of every pass.
 
-Each static-analysis pass (:mod:`repro.analysis.protocol`,
-:mod:`repro.analysis.lint`, :mod:`repro.analysis.dataflow`) emits
+Each static-analysis pass (:mod:`repro.analysis.lint`,
+:mod:`repro.analysis.dataflow`) emits
 :class:`Finding` records; a run collects them into an
 :class:`AnalysisReport` that renders as text for humans or JSON for CI
 artifacts.

@@ -31,14 +31,14 @@ Layers, bottom up:
   the measured message volumes through an explicit, configurable
   :class:`CostModel` (file-IPC, MPI, shared-memory presets).  This is the
   documented substitute for the paper's 16-node cluster (DESIGN.md §2).
-* :mod:`repro.parallel.mp_backend` — a real ``multiprocessing`` executor
-  for end-to-end correctness runs (lock-step rounds; the differential
-  oracle for the async backend).
 * :mod:`repro.parallel.termination` — Safra-style sent/received counting
   for barrier-free global-quiescence detection.
-* :mod:`repro.parallel.async_backend` — the round-free executors: workers
-  reason over batches as they arrive, in-process (with controllable
-  delivery order, and cluster-wide DRed) or across real processes.
+* :mod:`repro.parallel.coordinator` — the round-free runtime's protocol
+  with no I/O: the master (:class:`Coordinator`) and the worker host
+  (:class:`WorkerHost`) as state machines.
+* :mod:`repro.parallel.async_backend` — the round-free executors, two
+  transports over the coordinator: in-process (with deterministic fault
+  plans, and cluster-wide DRed) or across real processes.
 * :mod:`repro.parallel.supervisor` — worker liveness, typed
   :class:`WorkerFailure` diagnosis of crashes/hangs, and the
   ledger-replay recovery policy (:class:`SupervisionPolicy`, the only
@@ -67,13 +67,13 @@ from repro.parallel.hybrid import HybridParallelReasoner
 from repro.parallel.query import DistributedQueryEngine, DistributedQueryStats
 from repro.parallel.stats import AsyncRunStats
 from repro.parallel.termination import CountingTermination
+from repro.parallel.coordinator import Coordinator, WorkerHost
 from repro.parallel.async_backend import (
     AsyncRunResult,
     run_apply_inprocess,
     run_async_inprocess,
     run_multiprocess_async,
 )
-from repro.parallel.mp_backend import run_multiprocess
 from repro.parallel.supervisor import (
     INJECTED_EXIT_CODE,
     FailureRecord,
@@ -89,13 +89,14 @@ __all__ = [
     "AsyncRunStats",
     "AsyncRunResult",
     "CountingTermination",
+    "Coordinator",
+    "WorkerHost",
     "build_base_dictionary",
     "ClusterSpec",
     "run_rounds",
     "run_async_inprocess",
     "run_apply_inprocess",
     "run_multiprocess_async",
-    "run_multiprocess",
     "WorkerFailure",
     "FailureRecord",
     "SupervisionPolicy",

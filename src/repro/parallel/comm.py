@@ -13,12 +13,11 @@ in without touching the driver.
   one pickled file in a spool directory, named so receivers can discover
   their pending messages; files are deleted on receipt.
 
-:class:`ChannelPool` is the in-process async executor's transport: one
-FIFO deque per (sender, dest) channel with a pluggable cross-channel
-delivery order (fifo / lifo / seeded shuffle) and per-destination
-eligibility filtering — the hook the fault-injection harness uses to
-model dead, frozen, and delayed receivers without breaking the
-FIFO-per-channel invariant the delta-dictionary protocol requires.
+:class:`ChannelPool` is the in-process async executor's wire: batches in
+send order, delivered oldest first among those whose host and channel
+may deliver — the hook the fault-injection harness uses to model dead,
+frozen, and delayed receivers without breaking the FIFO-per-channel
+invariant the delta-dictionary protocol requires.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Collection, Protocol
 
 from repro.parallel.messages import Message
 
@@ -109,95 +108,50 @@ class InMemoryComm:
 
 
 class ChannelPool:
-    """Per-channel FIFO queues with a controllable cross-channel order.
+    """Batches in transit to resident hosts, delivered oldest first.
 
-    ``order`` lists one entry (the channel key) per pending message, in
-    emit order; delivery picks an entry by policy — ``"fifo"`` the
-    globally oldest, ``"lifo"`` the newest, ``"shuffle"`` seeded-random —
-    then pops that channel's *oldest* message, so order within a channel
-    is always preserved (the wire protocol's FIFO-channel assumption).
-
-    ``pop_next(eligible)`` skips channels whose key fails the predicate:
-    the supervisor marks destinations dead/frozen/held, and those
-    channels simply stop delivering while remaining pending.
+    Each entry is a Deliver command — ``(host, batch)`` — in send order.
+    ``pop_next(eligible)`` takes the oldest entry whose host and (sender,
+    dest) channel pass the predicate: the in-process executor marks hosts
+    dead or frozen and channels held or blocked, and those entries simply
+    wait.  Eligibility is decided per channel, so order within a channel
+    is always preserved (the wire protocol's FIFO-channel assumption: a
+    delta-dictionary entry must not arrive after a row that needs it).
 
     >>> from repro.parallel.messages import EncodedBatch
-    >>> pool = ChannelPool("fifo")
-    >>> pool.emit(EncodedBatch.make(0, 1, 0, []))
-    >>> pool.in_transit
+    >>> pool = ChannelPool()
+    >>> pool.emit(1, EncodedBatch.make(0, 1, 0, []))
+    >>> pool.pop_next(lambda host, key: True)[0]
     1
-    >>> pool.pop_next() is not None
+    >>> pool.pop_next(lambda host, key: True) is None
     True
     """
 
-    def __init__(self, delivery: str = "fifo", rng=None) -> None:
-        if delivery not in ("fifo", "lifo", "shuffle"):
-            raise ValueError(f"unknown delivery order {delivery!r}")
-        if delivery == "shuffle" and rng is None:
-            raise ValueError("shuffle delivery requires an rng")
-        self.delivery = delivery
-        self._rng = rng
-        self._channels: dict[tuple[int, int], deque[Message]] = {}
-        self._order: list[tuple[int, int]] = []
+    def __init__(self) -> None:
+        self._pending: list[tuple[int, Message]] = []
 
-    @property
-    def in_transit(self) -> int:
-        return len(self._order)
+    def emit(self, host: int, batch: Message) -> None:
+        self._pending.append((host, batch))
 
-    def emit(self, batch: Message) -> None:
-        key = (batch.sender, batch.dest)
-        box = self._channels.get(key)
-        if box is None:
-            box = self._channels[key] = deque()
-        box.append(batch)
-        self._order.append(key)
+    def push_front(self, host: int, batch: Message) -> None:
+        """Put a batch back at the head of its channel (a retransmission
+        of a batch its channel has been blocked behind)."""
+        self._pending.insert(0, (host, batch))
 
-    def push_front(self, batch: Message) -> None:
-        """Return an un-consumed message to the head of its channel (a
-        frozen receiver popped it but never processed it)."""
-        key = (batch.sender, batch.dest)
-        self._channels.setdefault(key, deque()).appendleft(batch)
-        self._order.insert(0, key)
+    def pop_next(
+        self, eligible: Callable[[int, tuple[int, int]], bool],
+    ) -> tuple[int, Message] | None:
+        """The oldest deliverable entry, or ``None`` when nothing is
+        deliverable (entries may remain pending)."""
+        for i, (host, batch) in enumerate(self._pending):
+            if eligible(host, (batch.sender, batch.dest)):
+                return self._pending.pop(i)
+        return None
 
-    def pop_next(self, eligible=None) -> Message | None:
-        """Deliver the next message whose channel passes ``eligible``
-        (default: all), honoring the cross-channel policy.  ``None`` when
-        nothing is deliverable (pending messages may remain)."""
-        order = self._order
-        if not order:
-            return None
-        if eligible is None:
-            candidates = range(len(order))
-        else:
-            candidates = [i for i, key in enumerate(order) if eligible(key)]
-            if not candidates:
-                return None
-        if self.delivery == "shuffle":
-            idx = candidates[self._rng.randrange(len(candidates))] \
-                if eligible is not None else self._rng.randrange(len(order))
-        elif self.delivery == "lifo":
-            idx = candidates[-1] if eligible is not None else len(order) - 1
-        else:
-            idx = candidates[0] if eligible is not None else 0
-        key = order.pop(idx)
-        return self._channels[key].popleft()
-
-    def discard_dest(self, dest: int) -> int:
-        """Drop every pending message addressed to ``dest`` (recovery:
-        the relay ledger replays them into the replacement).  Returns the
-        number discarded."""
-        keep: list[tuple[int, int]] = []
-        dropped = 0
-        for key in self._order:
-            if key[1] == dest:
-                self._channels[key].popleft()
-                dropped += 1
-            else:
-                keep.append(key)
-        # Rebuild: per-channel deques already consumed in order-list order
-        # for the dropped dest, so surviving deques are untouched.
-        self._order = keep
-        return dropped
+    def discard_hosts(self, hosts: Collection[int]) -> None:
+        """Drop every entry addressed to ``hosts`` (lost with them;
+        recovery replays their nodes' batches)."""
+        self._pending = [e for e in self._pending if e[0] not in hosts]
 
 
 class FileComm:

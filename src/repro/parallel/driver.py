@@ -8,7 +8,7 @@ give it an ontology, pick a partitioning approach and policy, and call
 2. partitions the data (Algorithm 1) or the rule base (Algorithm 2) and
    writes the decision down as one :class:`~repro.parallel.cluster.
    ClusterSpec` — partitions, rule subsets, router — which every executor
-   (these rounds, the round-free runtimes, the multiprocess oracle) runs,
+   (these rounds and the round-free runtimes) runs,
 3. builds one :class:`PartitionWorker` per node from it,
 4. iterates synchronous rounds until no node produced cross-partition
    tuples and nothing is in transit (the paper's termination condition),
@@ -17,8 +17,9 @@ give it an ontology, pick a partitioning approach and policy, and call
 Workers execute *in-process* (sequentially).  That is deliberate: it makes
 every per-node measurement exact and deterministic, and the simulated
 cluster (:mod:`repro.parallel.simulated`) reconstructs the parallel
-timeline from those measurements.  For a real-multiple-process run, see
-:mod:`repro.parallel.mp_backend`.
+timeline from those measurements.  For a run across real processes, see
+:func:`repro.parallel.async_backend.run_multiprocess_async`; these rounds
+stay the lock-step oracle it is tested against.
 
 "Note that the master node itself has no role to play once the initial
 partition is done" (Section IV) — accordingly, everything after
@@ -319,7 +320,6 @@ class ParallelReasoner:
         graph: Graph,
         multiprocess: bool = False,
         start_method: str | None = None,
-        delivery: str = "fifo",
         faults=None,
     ) -> AsyncRunResult:
         """Materialize via the supervised round-free runtime instead of
@@ -330,8 +330,8 @@ class ParallelReasoner:
 
         ``multiprocess=True`` runs one OS process per partition
         (:func:`~repro.parallel.async_backend.run_multiprocess_async`);
-        the default runs in-process with controllable ``delivery`` order
-        and optional deterministic ``faults``
+        the default runs in-process, oldest batch first, with optional
+        deterministic ``faults``
         (:class:`~repro.parallel.faults.FaultPlan`).  Either way, the
         reasoner's ``supervision`` policy decides whether a worker
         failure aborts the run (typed
@@ -348,15 +348,13 @@ class ParallelReasoner:
                     "multiprocess crashes via the REPRO_FAULT_KILL env var"
                 )
             return run_multiprocess_async(spec, start_method=start_method)
-        return run_async_inprocess(
-            spec, delivery=delivery, seed=self.seed, faults=faults)
+        return run_async_inprocess(spec, faults=faults)
 
     def apply_async(
         self,
         graph: Graph,
         adds=(),
         removes=(),
-        delivery: str = "fifo",
     ) -> AsyncRunResult:
         """Materialize ``graph``, then maintain the closure under
         ``(adds, removes)`` with cluster-wide delete-and-rederive
@@ -375,9 +373,7 @@ class ParallelReasoner:
         adds, removes = list(adds), list(removes)
         _data, _rules, spec = self._plan(
             instance, schema, adds=adds, removes=removes)
-        return run_apply_inprocess(
-            spec, adds=adds, removes=removes, delivery=delivery,
-            seed=self.seed)
+        return run_apply_inprocess(spec, adds=adds, removes=removes)
 
     # -- helpers -----------------------------------------------------------------
 

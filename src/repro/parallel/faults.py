@@ -1,13 +1,17 @@
 """Deterministic fault injection for the parallel runtime.
 
-Two injection surfaces, matching the two executors:
+Two injection surfaces, matching the two transports of the round-free
+runtime (:mod:`repro.parallel.async_backend`):
 
 * **In-process** (:func:`repro.parallel.async_backend.run_async_inprocess`)
   — a :class:`FaultPlan` drives per-channel and per-node faults with full
   determinism: kill or freeze a worker after it has consumed N messages,
   and drop, duplicate, or delay the N-th batch of a (sender, dest)
   channel.  Because the executor owns delivery, every schedule is exactly
-  reproducible, which makes the recovery path unit-testable.
+  reproducible, which makes the recovery path unit-testable.  (The
+  schedule explorer of the test suite goes further: it drives the
+  coordinator and the worker hosts itself and puts a fault at every
+  delivery index.)
 * **Multiprocess** — an environment-triggered ``os._exit`` point
   (:func:`maybe_crash`) inside :meth:`PartitionWorker.step
   <repro.parallel.worker.PartitionWorker.step>`.  Setting
@@ -20,14 +24,15 @@ Two injection surfaces, matching the two executors:
 Fault semantics and why recovery masks them (DESIGN.md §8):
 
 * ``kill`` / ``freeze`` — the node's unacknowledged messages never drain;
-  the supervisor converts the stall into a
+  the transport converts the stall into a
   :class:`~repro.parallel.supervisor.WorkerFailure` and, under
-  ``degrade="recover"``, replays the master's relay ledger into a fresh
-  worker.
-* ``drop`` — the batch is counted as forwarded but never delivered; the
-  counting ledger's imbalance is detected when nothing else is deliverable
-  and the batch is retransmitted from the ledger.
-* ``duplicate`` — two wire copies, both counted and both consumed;
+  ``degrade="recover"``, the coordinator adopts the node onto a surviving
+  host and replays its relay log into the fresh incarnation.
+* ``drop`` — the batch is counted as forwarded but never delivered, and
+  its channel waits behind it; the counting ledger's imbalance is
+  detected when nothing else is deliverable and the batch is
+  retransmitted at the head of its channel.
+* ``duplicate`` — two wire copies, both relayed and both consumed;
   receiver-side graph dedup makes the second a no-op.
 * ``delay`` — the channel is held for N delivery steps.  Order *within*
   the channel is preserved (the wire protocol's FIFO-per-channel
@@ -94,9 +99,6 @@ class FaultPlan:
         """The fault scheduled for the ``index``-th batch on channel
         ``key``, if any."""
         return self._by_key.get((key[0], key[1], index))
-
-    def any_faults(self) -> bool:
-        return bool(self.kill_after or self.freeze_after or self.channel)
 
 
 def env_kill_plan() -> tuple[int, int] | None:

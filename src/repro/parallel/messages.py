@@ -8,8 +8,8 @@ bytes on the wire, and a term's serialization travels at most once per
 delete semantics.)  The payload size is fixed at construction — cost
 models call ``payload_bytes()`` repeatedly.
 
-Plus the typed *control messages* of the supervised multiprocess
-protocol (master <-> worker queues).  Worker-originated messages carry
+Plus the typed *control messages* of the round-free runtime's protocol
+(:mod:`repro.parallel.coordinator`).  Worker-originated messages carry
 the logical node id and an *epoch*: recovery re-runs a lost node as a
 fresh incarnation with a bumped epoch, and the master discards anything
 stamped with an older one — a message from a dead incarnation can still
@@ -164,10 +164,9 @@ class RemovalBatch(EncodedBatch):
     delta-dictionary matters here too: a removal may reference a term
     the receiver has never decoded, e.g. when removals are broadcast to
     nodes that never held the row).  Removals are a *data* payload, not
-    a control message, so this type is deliberately absent from the
-    ``CONTROL_MESSAGES`` registries.  Receivers must dispatch on it
-    *before* :class:`EncodedBatch` — ``isinstance`` matches the parent
-    too.
+    a control message: they travel inside :class:`Deliver`.  Receivers
+    must dispatch on it *before* :class:`EncodedBatch` — ``isinstance``
+    matches the parent too.
 
     ``retract_base`` distinguishes a user retraction (the initial
     master broadcast: receivers also drop matching rows from their
@@ -212,7 +211,7 @@ class RemovalBatch(EncodedBatch):
         )
 
 
-# -- control messages (supervised multiprocess protocol) ----------------------
+# -- control messages (the coordinator <-> worker-host protocol) --------------
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ class Deliver:
     """Master -> worker: one relayed batch (dispatched inside the process
     by ``batch.dest``, since a process may host adopted nodes)."""
 
-    batch: object
+    batch: Message
 
 
 @dataclass(frozen=True)
@@ -296,13 +295,3 @@ class Finish:
 @dataclass(frozen=True)
 class Stop:
     """Master -> worker: outputs are safely gathered; exit now."""
-
-
-#: The control-protocol registries, by direction.  These are the single
-#: source of truth the protocol verifier (:mod:`repro.analysis.protocol`)
-#: checks the declarative state-machine spec against: adding a message
-#: type here without teaching the spec — or the handlers — about it is a
-#: *spec drift* finding, not a silent gap discovered as a hang.
-MASTER_TO_WORKER: tuple[type, ...] = (Deliver, Adopt, Finish, Stop)
-WORKER_TO_MASTER: tuple[type, ...] = (Produced, OutputMsg, Heartbeat)
-CONTROL_MESSAGES: tuple[type, ...] = MASTER_TO_WORKER + WORKER_TO_MASTER

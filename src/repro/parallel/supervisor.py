@@ -1,39 +1,33 @@
 """Worker supervision: liveness, hang detection, recovery policy, teardown.
 
-The async runtime's counting termination (:mod:`repro.parallel.termination`)
-is exact *if every worker lives forever*: a crashed or wedged worker leaves
-``forwarded[i] > consumed[i]`` permanently, and the master blocks on its
-outbox with no diagnosis of which node failed or why.  This module turns
-those silent stalls into typed :class:`WorkerFailure` events and gives the
-backends one shared vocabulary for reacting to them:
+The round-free runtime's counting termination
+(:mod:`repro.parallel.termination`) is exact *if every worker lives
+forever*: a crashed or wedged worker leaves ``forwarded[i] > consumed[i]``
+permanently.  This module turns those silent stalls into typed
+:class:`WorkerFailure` events (reason ``"exit" | "hang" | "idle" |
+"killed" | "frozen"``, with the ledger's counts for the failed nodes;
+:class:`FailureRecord` is the form stats and traces keep), for the
+coordinator (:mod:`repro.parallel.coordinator`) to recover or raise:
 
-* :class:`SupervisionPolicy` — the knobs: ``degrade`` ("abort" raises the
-  typed failure, "recover" re-runs the lost partition on a survivor),
-  ``max_retries``/``retry_backoff``, heartbeat cadence, hang/idle
-  deadlines, and teardown grace periods.
+* :class:`SupervisionPolicy` — ``degrade`` ("abort" raises the typed
+  failure, "recover" re-runs the lost partition on a survivor),
+  ``max_retries``, and the hang/idle deadlines.  The heartbeat cadence,
+  the poll interval and the teardown grace are module constants.
 * :func:`start_workers` — one process per node, each with its own inbox
   queue and its own worker -> master pipe.
-* :class:`ProcessSupervisor` — folds process ``is_alive``/``exitcode``
-  polling into every blocking outbox wait (:meth:`ProcessSupervisor.get`),
-  absorbs :class:`~repro.parallel.messages.Heartbeat` messages into
-  per-node last-seen timestamps, and escalates teardown
-  (:meth:`ProcessSupervisor.shutdown`: bounded join → ``terminate`` →
-  ``kill``) so no code path can wedge on a zombie child.
-* :class:`WorkerFailure` — the typed error: failed node ids, reason
-  (``"exit" | "hang" | "idle" | "killed" | "frozen"``), process exit
-  status, and the termination ledger's last sent/acknowledged counts for
-  the failed nodes.
-* :class:`FailureRecord` — the serializable form of one failure, stored in
-  :class:`~repro.parallel.stats.AsyncRunStats` and exported by
-  :mod:`repro.parallel.trace`.
+* :class:`ProcessSupervisor` — folds process liveness into every
+  blocking outbox wait, absorbs heartbeats into per-node last-seen times,
+  and escalates teardown (bounded join → ``terminate`` → ``kill``) so no
+  code path can wedge on a zombie child.
 
 Why single-node recovery is *sound* here: under data partitioning every
 tuple is replicated to the owner of its subject and of its object, and the
 master's counting ledger records, in order, every batch it ever relayed to
 each node.  A lost node is therefore reconstructible from (a) its input
-partition, which the master still holds, and (b) the replay of its relay
-log — the node loop is deterministic given that sequence, and receivers
-de-duplicate, so re-derived tuples are harmless.  See DESIGN.md §8.
+partition, which every host holds in the spec, and (b) the replay of its
+relay log — the node loop is deterministic given that sequence, and
+receivers de-duplicate, so re-derived tuples are harmless.  See DESIGN.md
+§8.
 """
 
 from __future__ import annotations
@@ -44,6 +38,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.parallel.messages import Heartbeat
+
+#: Idle worker -> master heartbeat cadence, in seconds.
+HEARTBEAT_INTERVAL = 0.5
+#: How often a blocking outbox wait re-checks process liveness.
+POLL_INTERVAL = 0.05
+#: Bounded post-run join; survivors are terminated, then killed.
+SHUTDOWN_GRACE = 5.0
 
 #: Exit code used by the deterministic fault-injection point
 #: (:func:`repro.parallel.faults.maybe_crash`) so tests can tell an
@@ -140,28 +141,24 @@ class FailureRecord:
 
 @dataclass
 class SupervisionPolicy:
-    """Failure-handling configuration shared by both process backends.
+    """Failure-handling configuration of the round-free executors.
 
     ``degrade`` picks the reaction to a :class:`WorkerFailure`:
     ``"abort"`` raises it; ``"recover"`` re-runs the lost node's partition
-    on a surviving worker (up to ``max_retries`` recoveries per run,
-    sleeping ``retry_backoff * attempt`` seconds before each).
+    on a surviving worker (up to ``max_retries`` recoveries per run).  An
+    ``"idle"`` failure — ``idle_timeout`` seconds without a message from
+    anyone — names no culprit and is always raised.
 
     ``hang_timeout=None`` (default) disables freeze detection — a live
     process that is merely slow is indistinguishable from a wedged one,
     so only opt in where heartbeat silence is meaningful.  Process *death*
-    is always detected, within ``poll_interval`` of any blocking wait.
+    is always detected, within :data:`POLL_INTERVAL` of any blocking wait.
     """
 
     degrade: str = "abort"
     max_retries: int = 2
-    retry_backoff: float = 0.0
-    heartbeat_interval: float = 0.5
     hang_timeout: float | None = None
     idle_timeout: float = 120.0
-    poll_interval: float = 0.05
-    #: Bounded post-run join; survivors are terminated, then killed.
-    shutdown_grace: float = 5.0
 
     def __post_init__(self) -> None:
         if self.degrade not in ("abort", "recover"):
@@ -170,8 +167,6 @@ class SupervisionPolicy:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
 
 
 def parent_alive(expected_ppid: int) -> bool:
@@ -185,7 +180,7 @@ def parent_alive(expected_ppid: int) -> bool:
 
 
 def shutdown_processes(
-    processes: Sequence, grace: float = 5.0
+    processes: Sequence, grace: float = SHUTDOWN_GRACE
 ) -> None:
     """Teardown that can never wedge: bounded join, then ``terminate``,
     then ``kill``, each escalation sharing one ``grace`` deadline."""
@@ -209,8 +204,8 @@ def shutdown_processes(
 def start_workers(
     ctx: Any, target: Callable, spec: Any
 ) -> tuple[list, list, list]:
-    """Start ``target(spec, i, inbox, outbox)`` in one process per node
-    of ``spec``; returns ``(processes, inboxes, outboxes)``.
+    """Start ``target(spec, inbox, outbox)`` in one process per node of
+    ``spec``; returns ``(processes, inboxes, outboxes)``.
 
     Every process sends to the master on a pipe of its own, and holds its
     only write end.  A process that dies mid-message therefore leaves an
@@ -222,7 +217,7 @@ def start_workers(
     for i in range(spec.k):
         inbox = ctx.Queue()
         reader, writer = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=target, args=(spec, i, inbox, writer))
+        proc = ctx.Process(target=target, args=(spec, inbox, writer))
         proc.start()
         writer.close()
         processes.append(proc)
@@ -232,34 +227,32 @@ def start_workers(
 
 
 class ProcessSupervisor:
-    """Master-side watchdog over the worker processes.
-
-    Wraps every blocking outbox wait: :meth:`get` polls the queue with a
-    short timeout and, on each empty poll, checks process liveness, node
-    heartbeat staleness, and the overall idle deadline — converting each
-    stall into a :class:`WorkerFailure` naming the node(s) instead of
-    blocking forever.  Heartbeat messages are absorbed here (they refresh
-    per-node last-seen times and are never returned to the caller).
+    """Master-side watchdog over the worker processes: :meth:`get` turns
+    each stall — a dead process, heartbeat silence, the idle deadline —
+    into a :class:`WorkerFailure` naming the node(s), and absorbs
+    heartbeats (they refresh per-node last-seen times).
 
     ``hosted[p]`` is the set of logical node ids currently running inside
     process ``p`` — initially ``{p}``, updated via :meth:`reassign` when a
     recovery adopts a lost node onto a survivor.  ``outstanding(node)``
-    reports the termination ledger's unacknowledged count for a node, so
-    death of a fully-drained worker after quiescence is not misreported.
+    reports the termination ledger's unacknowledged count for a node (a
+    node with nothing outstanding is never reported as hung), and
+    ``ledger(node)`` its ``(forwarded, consumed)`` pair for the failure's
+    diagnosis.
     """
 
     def __init__(
         self,
         processes: Sequence,
         policy: SupervisionPolicy,
-        outstanding: Callable[[int], int] | None = None,
-        ledger: Callable[[int], tuple[int, int]] | None = None,
+        outstanding: Callable[[int], int],
+        ledger: Callable[[int], tuple[int, int]],
     ) -> None:
         self.processes = list(processes)
         self.policy = policy
         self.hosted: list[set[int]] = [{i} for i in range(len(self.processes))]
-        self.outstanding = outstanding or (lambda node: 0)
-        self.ledger = ledger or (lambda node: (0, 0))
+        self.outstanding = outstanding
+        self.ledger = ledger
         self._failed: set[int] = set()
         now = time.monotonic()
         self._last_seen: dict[int, float] = {
@@ -318,14 +311,8 @@ class ProcessSupervisor:
             if i in self._failed:
                 continue
             if not proc.is_alive():
-                if proc.exitcode == 0 and all(
-                    self.outstanding(n) == 0 for n in self.hosted[i]
-                ):
-                    # Clean exit with a drained ledger (e.g. a lock-step
-                    # worker done with its "finish" reply, racing the
-                    # master's gather of the others): stop supervising.
-                    self._failed.add(i)
-                    continue
+                # A worker exits only on Stop, which comes after the last
+                # wait: any death seen here is a failure.
                 raise self._failure(i, "exit", proc.exitcode)
         hang = self.policy.hang_timeout
         if hang is None:
@@ -355,7 +342,7 @@ class ProcessSupervisor:
         deadline = time.monotonic() + self.policy.idle_timeout
         while True:
             self.check()
-            ready = wait(outboxes, timeout=self.policy.poll_interval)
+            ready = wait(outboxes, timeout=POLL_INTERVAL)
             if not ready:
                 if time.monotonic() > deadline:
                     silent = [
@@ -380,17 +367,10 @@ class ProcessSupervisor:
             except EOFError:
                 outboxes.remove(ready[0])
                 continue
-            if isinstance(msg, Heartbeat):
-                self.note(msg.node_id)
-                continue
-            node_id = getattr(msg, "node_id", None)
-            if node_id is None and isinstance(msg, tuple) and len(msg) > 1:
-                # Legacy lock-step tuples: ("produced"|"output", node_id, ...)
-                node_id = msg[1] if isinstance(msg[1], int) else None
-            if node_id is not None:
-                self.note(node_id)
-            return msg
+            self.note(msg.node_id)
+            if not isinstance(msg, Heartbeat):
+                return msg
 
     def shutdown(self) -> None:
         """Escalating teardown of every supervised process."""
-        shutdown_processes(self.processes, grace=self.policy.shutdown_grace)
+        shutdown_processes(self.processes)

@@ -35,6 +35,8 @@ from repro.parallel.routing import DataPartitionRouter, RulePartitionRouter
 from repro.partitioning import GraphPartitioningPolicy, HashPartitioningPolicy, partition_data, partition_rules
 from repro.rdf import Graph, Triple, URI
 
+from tests.helpers import newest_first, run_scheduled, run_shuffled
+
 
 def u(name):
     return URI(f"ex:{name}")
@@ -143,15 +145,14 @@ class TestAsyncMatchesOracles:
 
 class TestOutOfOrderDelivery:
     """The acceptance property: no hang and no premature stop when inbox
-    arrival order is shuffled."""
+    arrival order is shuffled (the explorer's driver picks the order)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_shuffled_delivery_reaches_same_fixpoint(self, tbox, data, seed):
         crs = compile_ontology(tbox)
         serial = HorstReasoner(tbox).materialize(data).graph
         dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=3)
-        result = run_async_inprocess(
-            data_spec(dp, crs.rules), delivery="shuffle", seed=seed)
+        result = run_shuffled(data_spec(dp, crs.rules), seed)
         assert result.graph == serial
         assert result.forwarded == result.consumed
 
@@ -159,14 +160,8 @@ class TestOutOfOrderDelivery:
         crs = compile_ontology(tbox)
         serial = HorstReasoner(tbox).materialize(data).graph
         dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=3)
-        result = run_async_inprocess(
-            data_spec(dp, crs.rules), delivery="lifo")
+        result = run_scheduled(data_spec(dp, crs.rules), newest_first)
         assert result.graph == serial
-
-    def test_unknown_delivery_rejected(self, data):
-        spec = data_spec(partition_data(data, HashPartitioningPolicy(), k=1), [])
-        with pytest.raises(ValueError):
-            run_async_inprocess(spec, delivery="random")
 
 
 class TestDeltaDictionaryReconciliation:
@@ -200,7 +195,7 @@ class TestDeltaDictionaryReconciliation:
 
     def test_concurrent_minting_reconciles(self):
         spec, serial = self.minting_spec()
-        result = run_async_inprocess(spec, delivery="shuffle", seed=11)
+        result = run_shuffled(spec, 11)
         assert result.graph == serial
         # Both workers minted their own id for ex:FreshClass (same term,
         # two stripes); the gathered store holds each triple once, re-keyed
@@ -220,7 +215,7 @@ class TestDeltaDictionaryReconciliation:
 
     def test_output_msg_is_id_columns_plus_minted_terms(self):
         spec, _serial = self.minting_spec()
-        result = run_async_inprocess(spec, delivery="shuffle", seed=11)
+        result = run_shuffled(spec, 11)
         base_size = len(spec.base)
         messages = [OutputMsg.of(w) for w in result.workers]
         for w, msg in zip(result.workers, messages):
@@ -281,7 +276,7 @@ def test_naive_equals_lockstep_equals_async(g, k, seed):
     spec = data_spec(dp, _DIFF_RULES)
 
     lockstep = run_lockstep(spec)
-    async_result = run_async_inprocess(spec, delivery="shuffle", seed=seed)
+    async_result = run_shuffled(spec, seed)
     assert lockstep == serial
     assert async_result.graph == serial
 
@@ -332,7 +327,7 @@ def test_async_ships_exactly_what_bsp_ships_on_one_spec():
     bsp = run_rounds(spec, InMemoryComm(4), stats)
     sent = sum(s.sent_tuples for r in stats.rounds for s in r)
     sent_bytes = sum(s.sent_bytes for r in stats.rounds for s in r)
-    asynchronous = run_async_inprocess(spec, delivery="fifo")
+    asynchronous = run_async_inprocess(spec)
     assert (sent, sent_bytes) == (602, 14_448)
     assert (asynchronous.stats.tuples,
             asynchronous.stats.payload_bytes) == (sent, sent_bytes)

@@ -26,6 +26,8 @@ from repro.rdf import Graph, Triple, URI
 from repro.rdf.dictionary import EncodedGraph, PartitionDictionary, TermDictionary
 from repro.rdf.idstore import IdGraph, expand_ranges, member_mask, pack_columns
 
+from tests.helpers import plan_spec, run_shuffled
+
 PREFIX = "@prefix ex: <ex:>\n"
 TRANS = parse_rules(PREFIX + "[t: (?a ex:p ?b) (?b ex:p ?c) -> (?a ex:p ?c)]")
 
@@ -404,8 +406,7 @@ class TestIdNativeWorkers:
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
         ref = ParallelReasoner(tbox, k=3).materialize(mixed)
-        res = ParallelReasoner(tbox, k=3).materialize_async(
-            mixed, delivery="shuffle")
+        res = run_shuffled(plan_spec(ParallelReasoner(tbox, k=3), mixed), 0)
         assert set(res.graph) == set(ref.graph)
 
     @pytest.mark.slow

@@ -29,10 +29,10 @@ from repro.analysis.dataflow import (
     STRIPE_RULES,
     StateRule,
     StoreSpec,
+    module_source,
     store_spec_table,
     verify_stores,
 )
-from repro.analysis.protocol import module_source
 from repro.rdf.idstore import IdGraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -37,14 +37,18 @@ from repro.parallel import (
     DataPartitionRouter,
     FailureRecord,
     FaultPlan,
+    InMemoryComm,
     ParallelReasoner,
+    ProcessSupervisor,
+    RunStats,
     SupervisionPolicy,
     WorkerFailure,
     run_async_inprocess,
-    run_multiprocess,
     run_multiprocess_async,
+    run_rounds,
     shutdown_processes,
 )
+from repro.parallel.async_backend import _InProcessRun
 from repro.parallel.faults import KILL_ENV, env_kill_plan
 from repro.parallel.trace import async_stats_from_json, async_stats_to_json
 from repro.partitioning import (
@@ -53,6 +57,8 @@ from repro.partitioning import (
     partition_data,
 )
 from repro.rdf import Graph, Triple, URI
+
+from tests.helpers import run_scheduled, seeded_order
 
 
 def u(name):
@@ -221,24 +227,25 @@ _DIFF_RULES = parse_rules(
 @given(_graphs, st.integers(2, 4), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_kill_recover_equals_naive_closure(g, k, victim_seed):
-    """Random graphs, shuffled delivery, one worker killed mid-run: the
-    recovered closure must equal the serial naive fixpoint exactly.  The
-    minting rule guarantees the dead incarnation may have shipped
-    delta-dictionary entries for runtime-minted terms, exercising the
-    per-epoch id-stripe isolation."""
+    """Random graphs, shuffled delivery (the explorer's seeded-random
+    schedule), one worker killed mid-run: the recovered closure must
+    equal the serial naive fixpoint exactly.  The minting rule
+    guarantees the dead incarnation may have shipped delta-dictionary
+    entries for runtime-minted terms, exercising the per-epoch id-stripe
+    isolation."""
     serial = g.copy()
     NaiveEngine(_DIFF_RULES).run(serial)
 
     dp = partition_data(g, HashPartitioningPolicy(), k=k)
-    victim = victim_seed % k
-    result = run_async_inprocess(
+    # The victim is whichever host takes this delivery (boots count).
+    victim = victim_seed % (k + 4)
+    result = run_scheduled(
         _spec(dp, _DIFF_RULES, degrade="recover"),
-        delivery="shuffle", seed=victim_seed,
-        faults=FaultPlan(kill_after={victim: 0}),
+        seeded_order(victim_seed), fault=(victim, "kill"),
     )
     assert result.graph == serial
-    # Either the victim never received a message (no stall, no failure)
-    # or exactly one failure was recovered.
+    # Either the run made fewer deliveries than the victim index (no
+    # stall, no failure) or exactly one failure was recovered.
     assert result.stats.worker_failures in (0, 1)
     assert result.forwarded == result.consumed
 
@@ -280,6 +287,41 @@ def test_mp_abort_raises_typed_error_within_deadline(tbox, data, kill_env):
     # Detection is liveness-driven (poll on every blocking wait), far
     # inside the idle deadline.
     assert elapsed < 30.0
+
+
+# --- process executor against the lock-step oracle ----------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_lockstep_dead_worker_raises_instead_of_hanging(
+    tbox, data, start_method, kill_env
+):
+    """A dead worker raises the typed failure instead of hanging, under
+    every start method (the default policy aborts)."""
+    crs, _, dp = _setup(tbox, data, k=2)
+    kill_env(1, 1)
+    start = time.monotonic()
+    with pytest.raises(WorkerFailure) as err:
+        run_multiprocess_async(
+            _spec(dp, crs.rules, idle_timeout=30.0),
+            start_method=start_method,
+        )
+    assert 1 in err.value.node_ids
+    assert err.value.exitcode == INJECTED_EXIT_CODE
+    assert time.monotonic() - start < 30.0
+
+
+@pytest.mark.slow
+def test_lockstep_still_correct_under_supervision(tbox, data):
+    """The supervised process run equals the serial closure and the
+    lock-step oracle (run_rounds) on the same spec."""
+    crs, serial, dp = _setup(tbox, data, k=2)
+    spec = _spec(dp, crs.rules, idle_timeout=60.0)
+    union = run_multiprocess_async(spec)
+    assert union.graph == serial
+    assert union.graph == run_rounds(
+        spec, InMemoryComm(spec.k), RunStats(k=spec.k)).graph
 
 
 @pytest.mark.slow
@@ -326,32 +368,164 @@ def test_lubm_kill_recover_matches_serial():
     assert result.stats.retries == 1
 
 
-# --- lock-step backend: diagnostic instead of hang ----------------------------
+# --- one coordinator, two transports: the settled behaviours ----------------
+#
+# Both executors run the same Coordinator, so where the two masters used
+# to disagree there is now one answer, pinned here on both transports:
+# (a) recovery adopts a lost node onto a surviving host, round-robin;
+# (b) max_messages counts relays, never replays;
+# (c) a wedged node is recovered when it is attributable (in-process
+#     "frozen", process "hang"), and an "idle" stall is always raised;
+# (d) the end-of-run sanitizer checks are the ledger (the coordinator)
+#     and the minted ids (the gather), whatever the transport.
+
+
+def test_recovery_adopts_onto_a_survivor_in_process(tbox, data):
+    crs, serial, dp = _setup(tbox, data, k=3)
+    run = _InProcessRun(_spec(dp, crs.rules, degrade="recover"), 1_000_000,
+                        FaultPlan(kill_after={1: 1}))
+    run.drain()
+    result = run.result()
+    assert result.graph == serial
+    assert run.down == {1: "retired"}
+    assert run.coord.host[1] in (0, 2)
+    assert result.workers[1].epoch == 1
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("start_method", START_METHODS)
-def test_lockstep_dead_worker_raises_instead_of_hanging(
-    tbox, data, start_method, kill_env
-):
-    crs, _, dp = _setup(tbox, data, k=2)
+def test_recovery_adopts_onto_a_survivor_across_processes(
+        tbox, data, kill_env, monkeypatch):
+    from repro.parallel import async_backend
+
+    start_workers = async_backend.start_workers
+    started = []
+
+    def recording(*args):
+        processes, inboxes, outboxes = start_workers(*args)
+        started.extend(processes)
+        return processes, inboxes, outboxes
+
+    monkeypatch.setattr(async_backend, "start_workers", recording)
+    crs, serial, dp = _setup(tbox, data, k=3)
     kill_env(1, 1)
-    start = time.monotonic()
-    with pytest.raises(WorkerFailure) as err:
-        run_multiprocess(
-            _spec(dp, crs.rules, idle_timeout=30.0),
-            start_method=start_method,
-        )
-    assert 1 in err.value.node_ids
-    assert err.value.exitcode == INJECTED_EXIT_CODE
-    assert time.monotonic() - start < 30.0
+    result = run_multiprocess_async(
+        _spec(dp, crs.rules, idle_timeout=60.0, degrade="recover"))
+    assert result.graph == serial
+    # No process was started for the lost node: a survivor adopted it.
+    assert len(started) == 3
+    assert started[1].exitcode == INJECTED_EXIT_CODE
+    assert result.stats.retries == 1
+
+
+def test_max_messages_counts_relays_not_replays_in_process(tbox, data):
+    crs, serial, dp = _setup(tbox, data, k=3)
+    spec = _spec(dp, crs.rules, degrade="recover")
+    plan = FaultPlan(kill_after={1: 1})
+    first = run_async_inprocess(spec, faults=plan)
+    relays = first.stats.messages
+    assert first.stats.retransmitted > 0
+    # Exactly the relays suffice, though the replays came on top ...
+    assert run_async_inprocess(
+        spec, max_messages=relays, faults=plan).graph == serial
+    # ... and one fewer does not.
+    with pytest.raises(RuntimeError, match=f"after {relays - 1} messages"):
+        run_async_inprocess(spec, max_messages=relays - 1, faults=plan)
 
 
 @pytest.mark.slow
-def test_lockstep_still_correct_under_supervision(tbox, data):
-    crs, serial, dp = _setup(tbox, data, k=2)
-    union = run_multiprocess(_spec(dp, crs.rules, idle_timeout=60.0))
-    assert union.graph == serial
+def test_max_messages_counts_relays_across_processes(tbox, data):
+    crs, _, dp = _setup(tbox, data, k=3)
+    with pytest.raises(RuntimeError, match="no termination after 1 messages"):
+        run_multiprocess_async(
+            _spec(dp, crs.rules, idle_timeout=60.0), max_messages=1)
+
+
+def _wedge_node_1(monkeypatch):
+    """Node 1's first incarnation blocks forever in its first step — a
+    live process that stops consuming (inherited by forked children)."""
+    from repro.parallel import PartitionWorker
+
+    step = PartitionWorker.step
+
+    def wedged(self, incoming):
+        if self.node_id == 1 and self.epoch == 0:
+            time.sleep(600)
+        return step(self, incoming)
+
+    monkeypatch.setattr(PartitionWorker, "step", wedged)
+
+
+_FORK = pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                           reason="the wedge is inherited by fork only")
+
+
+@pytest.mark.slow
+@_FORK
+def test_wedged_process_with_a_hang_deadline_is_recovered(
+        tbox, data, monkeypatch):
+    crs, serial, dp = _setup(tbox, data, k=3)
+    _wedge_node_1(monkeypatch)
+    result = run_multiprocess_async(
+        _spec(dp, crs.rules, idle_timeout=60.0, hang_timeout=1.0,
+              degrade="recover"),
+        start_method="fork")
+    assert result.graph == serial
+    assert [f.reason for f in result.stats.failures] == ["hang"]
+    assert result.stats.failures[0].node_ids == (1,)
+
+
+@pytest.mark.slow
+@_FORK
+def test_wedged_process_without_one_is_idle_and_raised(
+        tbox, data, monkeypatch):
+    crs, _, dp = _setup(tbox, data, k=3)
+    _wedge_node_1(monkeypatch)
+    with pytest.raises(WorkerFailure) as err:
+        run_multiprocess_async(
+            _spec(dp, crs.rules, idle_timeout=2.0, degrade="recover"),
+            start_method="fork")
+    assert err.value.reason == "idle"
+    assert err.value.node_ids == (1,)
+
+
+def _count_end_checks(monkeypatch):
+    from repro.analysis import sanitize
+
+    calls = []
+    for name in ("check_ledger", "check_minted_ids"):
+        real = getattr(sanitize, name)
+
+        def counted(arg, real=real, name=name):
+            calls.append(name)
+            return real(arg)
+
+        monkeypatch.setattr(sanitize, name, counted)
+    return calls
+
+
+def _sanitized_spec(dp, rules):
+    return ClusterSpec.build(
+        dp.partitions, [rules] * len(dp.partitions),
+        DataPartitionRouter(dp.owner), sanitize=True,
+        supervision=SupervisionPolicy(idle_timeout=60.0))
+
+
+def test_end_of_run_checks_in_process(tbox, data, monkeypatch):
+    crs, serial, dp = _setup(tbox, data, k=3)
+    calls = _count_end_checks(monkeypatch)
+    assert run_async_inprocess(_sanitized_spec(dp, crs.rules)).graph == serial
+    assert sorted(calls) == ["check_ledger", "check_minted_ids"]
+
+
+@pytest.mark.slow
+@_FORK
+def test_end_of_run_checks_across_processes(tbox, data, monkeypatch):
+    crs, serial, dp = _setup(tbox, data, k=3)
+    calls = _count_end_checks(monkeypatch)
+    result = run_multiprocess_async(_sanitized_spec(dp, crs.rules),
+                                    start_method="fork")
+    assert result.graph == serial
+    assert sorted(calls) == ["check_ledger", "check_minted_ids"]
 
 
 # --- shutdown escalation ------------------------------------------------------
@@ -406,6 +580,38 @@ class TestPolicyValidation:
             run_async_inprocess(_spec(dp, []), degrade="recover")
         with pytest.raises(ValueError):
             _spec(dp, [], degrade="panic")
+
+    def test_policy_is_four_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(SupervisionPolicy)] == [
+            "degrade", "max_retries", "hang_timeout", "idle_timeout"]
+
+    def test_hang_deadline_reports_a_silent_node_with_work(self):
+        """``ProcessSupervisor.check`` with a stand-in process: alive,
+        silent past ``hang_timeout`` and owing acknowledgements -> a
+        typed ``"hang"``; the same silence with nothing outstanding is
+        a drained node, not a hang."""
+
+        class Alive:
+            exitcode = None
+
+            def is_alive(self):
+                return True
+
+        outstanding = {0: 1}
+        sup = ProcessSupervisor(
+            [Alive()], SupervisionPolicy(hang_timeout=0.01),
+            outstanding=lambda node: outstanding[node],
+            ledger=lambda node: (3, 2))
+        sup._last_seen[0] = time.monotonic() - 10.0
+        with pytest.raises(WorkerFailure) as err:
+            sup.check()
+        assert err.value.reason == "hang"
+        assert err.value.node_ids == (0,)
+        assert (err.value.forwarded, err.value.consumed) == ((3,), (2,))
+        outstanding[0] = 0
+        sup.check()  # drained: not reported
 
     def test_env_plan_parsing(self, monkeypatch):
         monkeypatch.delenv(KILL_ENV, raising=False)

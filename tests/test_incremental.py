@@ -29,6 +29,8 @@ from repro.rdf import Graph, Triple, URI
 from repro.rdf.idstore import IdGraph
 from repro.rdf.runstore import RunStore
 
+from tests.helpers import apply_shuffled, plan_spec
+
 # --- fixtures ----------------------------------------------------------------
 
 TRANS = parse_rules(
@@ -414,8 +416,11 @@ def test_distributed_apply_matches_serial(approach, k, delivery):
         Triple(URI("s:9"), RDF.type, URI("ex:Student")),
     ]
     pr = ParallelReasoner(tbox, k=k, approach=approach)
-    result = pr.apply_async(full, adds=adds, removes=removes,
-                            delivery=delivery)
+    if delivery == "fifo":
+        result = pr.apply_async(full, adds=adds, removes=removes)
+    else:  # the explorer's seeded-random schedule
+        spec = plan_spec(pr, full, adds=adds, removes=removes)
+        result = apply_shuffled(spec, adds=adds, removes=removes, seed=k)
 
     oracle = MaterializedKB(tbox)
     oracle.add(iter(data))

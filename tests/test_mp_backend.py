@@ -1,5 +1,8 @@
-"""End-to-end tests of the real multiprocessing backend (small inputs;
-see the module docstring of repro.parallel.mp_backend for why).
+"""End-to-end tests of the process transport of the round-free runtime
+(:func:`repro.parallel.async_backend.run_multiprocess_async`) against the
+lock-step oracle — the in-process BSP rounds (:func:`repro.parallel.
+run_rounds`) on the same spec — and the serial closure.  Inputs are small:
+pickling the spec costs more than reasoning over it at these sizes.
 
 Parametrized over start methods: ``fork`` (Linux default) and ``spawn``
 (macOS/Windows default) — the backend must be correct under both, since
@@ -13,7 +16,13 @@ import pytest
 from repro.owl import HorstReasoner
 from repro.owl.compiler import compile_ontology
 from repro.owl.vocabulary import OWL, RDF
-from repro.parallel import ClusterSpec, run_multiprocess, run_multiprocess_async
+from repro.parallel import (
+    ClusterSpec,
+    InMemoryComm,
+    RunStats,
+    run_multiprocess_async,
+    run_rounds,
+)
 from repro.parallel.routing import DataPartitionRouter, RulePartitionRouter
 from repro.partitioning import GraphPartitioningPolicy, partition_data, partition_rules
 from repro.rdf import Graph, URI
@@ -62,8 +71,9 @@ def test_multiprocess_data_partitioning_matches_serial(tbox, data, start_method)
     dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
     spec = ClusterSpec.build(
         dp.partitions, [crs.rules] * 2, DataPartitionRouter(dp.owner))
-    union = run_multiprocess(spec, start_method=start_method)
+    union = run_multiprocess_async(spec, start_method=start_method)
     assert union.graph == serial.graph
+    assert union.graph == _lockstep(spec).graph
     # The engine counters ride the workers' OutputMsg rows.
     assert union.engine_stats.derived > 0
 
@@ -76,8 +86,9 @@ def test_multiprocess_rule_partitioning_matches_serial(tbox, data, start_method)
     rp = partition_rules(crs.rules, k=2, seed=0)
     spec = ClusterSpec.build(
         [data, data], rp.rule_sets, RulePartitionRouter(rp.rule_sets))
-    union = run_multiprocess(spec, start_method=start_method)
+    union = run_multiprocess_async(spec, start_method=start_method)
     assert union.graph == serial.graph
+    assert union.graph == _lockstep(spec).graph
 
 
 @pytest.mark.slow
@@ -89,10 +100,14 @@ def test_multiprocess_async_matches_lockstep(tbox, data, start_method):
     dp = partition_data(data, GraphPartitioningPolicy(seed=0), k=2)
     spec = ClusterSpec.build(
         dp.partitions, [crs.rules] * 2, DataPartitionRouter(dp.owner))
-    lockstep = run_multiprocess(spec, start_method=start_method)
+    lockstep = _lockstep(spec)
     asynchronous = run_multiprocess_async(spec, start_method=start_method)
     assert asynchronous.graph == lockstep.graph
     assert asynchronous.engine_stats.derived > 0
+
+
+def _lockstep(spec):
+    return run_rounds(spec, InMemoryComm(spec.k), RunStats(k=spec.k))
 
 
 def test_mismatched_configuration_rejected(data):

@@ -25,6 +25,8 @@ from repro.rdf.runstore import (
     order_for,
 )
 
+from tests.helpers import plan_spec, run_shuffled
+
 PREFIX = "@prefix ex: <ex:>\n"
 TRANS = parse_rules(PREFIX + "[t: (?a ex:p ?b) (?b ex:p ?c) -> (?a ex:p ?c)]")
 
@@ -425,8 +427,8 @@ class TestParallelRunStore:
         tbox, data = _mp_tbox(), _mp_data()
         mixed = Graph(list(tbox) + list(data))
         ref = ParallelReasoner(tbox, k=3).materialize(mixed)
-        res = ParallelReasoner(
+        res = run_shuffled(plan_spec(ParallelReasoner(
             tbox, k=3, store="run",
             memory_budget_bytes=1 << 20,
-        ).materialize_async(mixed, delivery="shuffle")
+        ), mixed), 0)
         assert set(res.graph) == set(ref.graph)

@@ -6,8 +6,11 @@ Three layers:
   exact set of findings (tests/fixtures/lint/);
 * self-application — the repo's own tree must come back clean, and
   deliberately re-introducing each PR-3 bug class (untimed ``Queue.get``
-  in ``parallel/``, a deleted message handler, a stripped
-  ``Atom.__reduce__``) must make the corresponding pass fail;
+  in ``parallel/``, a stripped ``Atom.__reduce__``) must make the
+  corresponding pass fail; the async protocol's bug classes (a deleted
+  message handler, a dropped stale-epoch guard, a ledger call off its
+  path) are applied to the coordinator and must make a schedule of the
+  explorer fail;
 * the rule gate on the run path — every data-partitioned ``materialize*``
   call rejects a non-partitionable rule set with atom-level diagnostics
   (the static passes themselves run here and in ``python -m
@@ -23,28 +26,23 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    ASYNC_PROTOCOL,
     AllowlistError,
     AnalysisReport,
     Finding,
-    HandlerSpec,
     LintConfig,
-    MessageSpec,
-    ProtocolSpec,
     check_data_partitionable,
     check_spawn_safety,
     lint_paths,
     parse_allowlist,
     run_all,
-    spec_table,
-    verify_protocol,
 )
-from repro.analysis.protocol import module_source
 from repro.datalog.parser import parse_rules
 from repro.owl.vocabulary import RDF, RDFS
-from repro.parallel import messages
+from repro.parallel import Coordinator, WorkerHost, messages
 from repro.parallel.driver import ParallelReasoner
 from repro.rdf import Graph, Triple, URI
+
+from tests.helpers import explore, explorer_case, mutant
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
@@ -53,8 +51,6 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 FIXTURE_CONFIG = LintConfig(
     spawn_scope=("fixtures/lint/",), seeded_scope=("fixtures/lint/",)
 )
-
-_ASYNC = "repro.parallel.async_backend"
 
 MULTI_JOIN_RULES = """@prefix ex: <ex:>
 [bad: (?a ex:p ?b) (?c ex:q ?d) (?e ex:r ?f) -> (?a ex:p ?f)]"""
@@ -126,77 +122,64 @@ def test_reintroduced_untimed_queue_get_is_caught(tmp_path):
     assert codes(lint_paths([mod], root=tmp_path)) == ["CX101"]
 
 
-def test_protocol_clean_against_installed_sources():
-    assert verify_protocol() == []
+# The async protocol's bug classes are caught by running it: each
+# deliberate regression below is applied to the coordinator module's
+# source, and the schedule explorer (tests/helpers.py) must find a
+# schedule that goes wrong.
+
+
+def _caught(*edits):
+    """Does the explorer find a failing schedule of the mutant?"""
+    spec, oracle = explorer_case("lubm", "data", 3)
+    return explore(spec, oracle, bound=1, seeds=2, protocol=mutant(*edits),
+                   first=True) != []
 
 
 def test_removed_finish_handler_is_caught():
-    source = module_source(_ASYNC).replace(
-        "isinstance(msg, Finish)", "isinstance(msg, Adopt)"
-    )
-    findings = verify_protocol(sources={_ASYNC: source})
-    assert any(f.code == "PROTO010" and "Finish" in f.message for f in findings)
+    assert _caught(("isinstance(msg, Finish)", "isinstance(msg, Adopt)"))
 
 
 def test_removed_stale_epoch_guard_is_caught():
-    source = module_source(_ASYNC).replace(
-        "msg.epoch < epoch[msg.node_id]", "msg.node_id < 0", 1
-    )
-    findings = verify_protocol(sources={_ASYNC: source})
-    assert any(f.code == "PROTO020" and "Produced" in f.message for f in findings)
+    # The Produced path's guard (the first one in the module).
+    assert _caught((
+        "        if self._stale(msg):\n            return []\n"
+        "        commands = self.relay",
+        "        commands = self.relay",
+    ))
+    # ... and the shared predicate, both guards at once.
+    assert _caught(("return msg.epoch < self.epoch[msg.node_id]",
+                    "return False"))
+
+
+_LEDGER_MUTATIONS = {
+    "record_forward doubled on the relay path": (
+        "            self.det.record_forward(batch.dest)\n",
+        "            self.det.record_forward(batch.dest)\n"
+        "            self.det.record_forward(batch.dest)\n"),
+    "record_forward off the replay path": (
+        "                self.det.record_forward(node)\n", ""),
+    "record_ack off the produced path": (
+        "        self.det.record_ack(msg.node_id, msg.consumed)\n", ""),
+    "reset_node off the recovery path": (
+        "            self.det.reset_node(node)\n", ""),
+    "mark_bootstrapped off the produced path": (
+        "        self.det.mark_bootstrapped(msg.node_id)\n", ""),
+}
 
 
 def test_rogue_ledger_mutation_is_caught():
-    source = module_source(_ASYNC) + "\n\ndef rogue(det):\n    det.record_ack(0, 0)\n"
-    findings = verify_protocol(sources={_ASYNC: source})
-    assert any(f.code == "PROTO030" and "record_ack" in f.message for f in findings)
-
-
-def test_renamed_accounted_path_is_spec_drift():
-    source = module_source(_ASYNC).replace("def relay(", "def relay2(").replace(
-        "relay(batch)", "relay2(batch)"
-    )
-    findings = verify_protocol(sources={_ASYNC: source})
-    assert any(f.code == "PROTO031" and "relay" in f.message for f in findings)
-
-
-def test_registry_spec_drift_both_directions():
-    # A spec message the registry does not know -> PROTO001.
-    spec = ProtocolSpec(
-        messages=ASYNC_PROTOCOL.messages + (MessageSpec("Ping", "master->worker"),),
-        handlers=(),
-        ledger=(),
-    )
-    assert "PROTO001" in codes(verify_protocol(spec))
-    # A registered control message the spec does not know -> PROTO002.
-    spec = ProtocolSpec(
-        messages=tuple(m for m in ASYNC_PROTOCOL.messages if m.name != "Heartbeat"),
-        handlers=(),
-        ledger=(),
-    )
-    assert "PROTO002" in codes(verify_protocol(spec))
-
-
-def test_unstamped_message_marked_epoch_stamped_is_caught():
-    spec = ProtocolSpec(
-        messages=(MessageSpec("Deliver", "master->worker", epoch_stamped=True),),
-        handlers=(),
-        ledger=(),
-    )
-    findings = [f for f in verify_protocol(spec) if f.code == "PROTO003"]
-    assert len(findings) == 1
-    assert "node_id" in findings[0].message and "epoch" in findings[0].message
+    missed = [name for name, edit in _LEDGER_MUTATIONS.items()
+              if not _caught(edit)]
+    assert missed == []
 
 
 def test_missing_handler_function_is_caught():
-    spec = ProtocolSpec(
-        messages=ASYNC_PROTOCOL.messages,
-        handlers=(
-            HandlerSpec(module=_ASYNC, function="no_such_loop", role="worker"),
-        ),
-        ledger=(),
-    )
-    assert "PROTO031" in codes(verify_protocol(spec))
+    # Every message class the worker host handles is load-bearing.
+    for cls in ("Deliver", "Adopt", "Finish", "Stop"):
+        assert _caught((f"isinstance(msg, {cls})", "False")), cls
+    # ... and so is each one the coordinator dispatches.
+    for cls in ("Produced", "OutputMsg"):
+        assert _caught((f"if isinstance(msg, {cls})", "if False")), cls
 
 
 def test_deleted_atom_reduce_fails_spawn_safety(monkeypatch):
@@ -212,14 +195,24 @@ def test_spawn_safety_clean_on_real_wire_classes():
 
 
 def test_registry_covers_every_control_message():
-    names = {cls.__name__ for cls in messages.CONTROL_MESSAGES}
-    assert names == ASYNC_PROTOCOL.message_names()
-
-
-def test_spec_table_lists_every_message():
-    table = spec_table()
-    for name in ASYNC_PROTOCOL.message_names():
-        assert name in table
+    """Every control message of :mod:`repro.parallel.messages` has exactly
+    one receiver: the worker host, the coordinator, or (Heartbeat) the
+    supervisor's wait, which absorbs it."""
+    spec, _ = explorer_case("lubm", "data", 2)
+    to_host = (messages.Adopt(0, 0), messages.Finish(), messages.Stop())
+    host = WorkerHost(spec)
+    replies = [r for msg in to_host for r in host.handle(msg)]
+    assert {type(r) for r in replies} == {messages.Produced, messages.OutputMsg}
+    coord = Coordinator(spec)
+    for reply in replies:
+        coord.handle(reply)
+        with pytest.raises(TypeError):
+            WorkerHost(spec).handle(reply)
+    for msg in to_host + (messages.Heartbeat(0, 0, 0),):
+        with pytest.raises(TypeError):
+            coord.handle(msg)
+    with pytest.raises(TypeError):
+        host.handle(messages.Heartbeat(0, 0, 0))
 
 
 # -- allowlist ----------------------------------------------------------------
@@ -320,7 +313,7 @@ def test_cli_clean_tree_exits_zero():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True
-    assert payload["passes"] == ["protocol", "lint", "dataflow"]
+    assert payload["passes"] == ["lint", "dataflow"]
 
 
 def test_cli_findings_exit_nonzero_and_report_file(tmp_path):
@@ -336,9 +329,3 @@ def test_cli_findings_exit_nonzero_and_report_file(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["ok"] is False
     assert payload["counts"]["CX102"] == 2
-
-
-def test_cli_spec_prints_protocol_table():
-    proc = _run_cli("--spec")
-    assert proc.returncode == 0
-    assert "| Deliver | master->worker |" in proc.stdout
